@@ -20,7 +20,7 @@ from .hamiltonian import (
     parity_operator,
     project_parity,
 )
-from .eigen import GroundState, ground_state, lowest_pair
+from .eigen import GroundState, ground_state
 from .observables import (
     ConvergedResult,
     berry_phase,
@@ -44,7 +44,7 @@ __all__ = [
     "overlap_kernel", "unitarity_defect",
     "BlockHamiltonian", "ParityOperator", "ProjectedHamiltonian",
     "assemble_dcs", "assemble_dfs", "parity_operator", "project_parity",
-    "GroundState", "ground_state", "lowest_pair",
+    "GroundState", "ground_state",
     "ConvergedResult", "berry_phase", "concurrence", "converge",
     "magnetization_x", "spin_expectations",
     "ExponentFit", "ScalingSeries", "berry_deviation_series",

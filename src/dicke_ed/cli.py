@@ -326,8 +326,7 @@ def cmd_solve(args) -> int:
     res = converge(
         params, threshold=args.threshold, schedule=schedule, track=track,
         sector=args.parity, solver_tol=args.solver_tol, seed=args.seed,
-        dense_cutoff=10**9 if args.dense_oracle else None,
-        max_dim=args.max_dim,
+        dense=args.dense_oracle, max_dim=args.max_dim,
     )
     text = csv_text(CSV_COLUMNS, [result_row(res)])
     if args.dump_matrix:
@@ -352,10 +351,7 @@ def _compare_cell(job) -> dict:
         h = assemble(params, n_tr, max_dim=max_dim)
         if parity != "full":
             h = project_parity(h, parity)
-        gs = ground_state(
-            h, tol=solver_tol, seed=seed,
-            dense_cutoff=10**9 if dense else 2000,
-        )
+        gs = ground_state(h, tol=solver_tol, seed=seed, dense=dense)
         row["E0"] = gs.energy
         row["E0_scaled"] = gs.energy / (params.j * params.delta)
     except (ConvergenceError, DimensionCapError, ValueError) as exc:

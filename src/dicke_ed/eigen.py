@@ -1,44 +1,30 @@
-"""Lowest-eigenpair solvers: Lanczos with full reorthogonalization plus a
-dense fallback for small matrices and oracle tests.
+"""Lowest eigenpair by certified shift-invert on the banded matrix.
 
-Operators only need ``dim``, ``matvec(x)``, ``to_dense()`` and
-``norm_estimate()``; BlockHamiltonian and ProjectedHamiltonian provide them.
-Full reorthogonalization is deliberate: the matrix dimensions used here make
-the extra O(dim * iters^2) work cheap, and it removes the ghost copies of
-converged eigenvalues that would otherwise corrupt scaling fits.
+Both bases are block-tridiagonal over the spin sectors, also after the parity
+projection, so every operator hands over its matrix in LAPACK lower band
+storage (``band()``).  A shift sigma counts as lying below the spectrum only
+when the Cholesky factorization of H - sigma*I succeeds: by Sylvester's law
+of inertia no eigenvalue then lies at or below sigma (Parlett, *The
+Symmetric Eigenvalue Problem*).  The shift starts strictly below the
+Gershgorin bound and rises by bisection and by Rayleigh estimates
+theta - r; inverse iteration with the latest factor converges to the lowest
+eigenvector, the one nearest a shift below the spectrum (Ericsson & Ruhe,
+Math. Comp. 35 (1980)).  Once the residual r is at most tol*max(1, |theta|),
+one more factorization proves the returned energy the lowest; if it fails,
+ConvergenceError.  Only the band and one factor are alive at a time.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, eigh
 
 from .errors import ConvergenceError
+from .hamiltonian import gershgorin
 
-__all__ = ["GroundState", "MatrixOperator", "ground_state", "lowest_pair"]
+__all__ = ["GroundState", "ground_state"]
 
-DENSE_CUTOFF = 2000
-_CHUNK = 80
-
-
-@dataclass
-class MatrixOperator:
-    """Adapter exposing a dense symmetric ndarray through the operator protocol."""
-
-    matrix: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x
-
-    def to_dense(self) -> np.ndarray:
-        return self.matrix
-
-    def norm_estimate(self) -> float:
-        return float(np.abs(self.matrix).sum(axis=1).max())
+MAX_FACTORIZATIONS = 200
 
 
 @dataclass
@@ -47,7 +33,9 @@ class GroundState:
 
     ``vector`` always lives in the full (unprojected) flat basis; solves done
     inside a parity sector are expanded before being stored here, and
-    ``sector`` records where the solve happened.
+    ``sector`` records where the solve happened.  ``iterations`` counts
+    inverse-iteration steps.  The sector's lowest eigenvalue is proven to lie
+    in [``lower_bound``, ``energy``]; the dense oracle has no lower bound.
     """
 
     energy: float
@@ -59,7 +47,8 @@ class GroundState:
     iterations: int
     method: str
     n_atoms: int | None = None
-    ritz_history: tuple = field(default=(), repr=False)
+    factorizations: int = 0
+    lower_bound: float | None = None
 
     @property
     def table(self) -> np.ndarray:
@@ -74,163 +63,118 @@ def _canonical_sign(vec: np.ndarray) -> np.ndarray:
     return -vec if vec[i] < 0 else vec
 
 
-def _lanczos_lowest(op, nev: int, tol: float, seed: int, max_iter: int,
-                    v0: np.ndarray | None = None):
-    """Lanczos with full (two-pass) reorthogonalization.
+class ShiftTest:
+    """Positive-definiteness tests of H - sigma*I on one reused work array.
 
-    Returns (values, vectors, iterations, ritz_history).  Convergence needs
-    both a stable Ritz value and a small residual bound beta*|s_last|; the
-    returned vectors carry explicitly computed residuals upstream.
+    ``slack`` bounds the factorization's backward error (|E| <= (u+1)*eps*
+    |L||L^T|, 2u+1 entries a row, diagonal below the Gershgorin spread), and
+    each test factors at sigma + slack: a success proves sigma <= E0, so a
+    shift at or above E0 is refused; a failure proves E0 < sigma + 2*slack.
     """
-    dim = op.dim
-    scale = max(op.norm_estimate(), 1e-300)
-    rng = np.random.default_rng(seed)
-    if v0 is not None and np.linalg.norm(v0) > 1e-12:
-        q = np.asarray(v0, dtype=float).copy()
+
+    def __init__(self, ab: np.ndarray):
+        self.ab = ab
+        self.work = np.empty_like(ab, order="F")
+        u = ab.shape[0] - 1
+        self.lowest, highest = gershgorin(ab)
+        self.slack = (2 * u + 1) * (u + 1) * np.finfo(float).eps * max(
+            highest - self.lowest, 1.0)
+        self.count = 0
+
+    def below_spectrum(self, sigma: float) -> bool:
+        """True proves sigma <= E0; the work array then holds the factor."""
+        self.count += 1
+        self.work[...] = self.ab
+        self.work[0] -= sigma + self.slack
+        try:
+            cholesky_banded(self.work, overwrite_ab=True, lower=True, check_finite=False)
+        except LinAlgError:
+            return False
+        return True
+
+    def step(self, h, x: np.ndarray):
+        """One inverse-iteration step with the current factor: (x, theta, r)."""
+        x = cho_solve_banded((self.work, True), x, check_finite=False)
+        x /= np.linalg.norm(x)
+        return (x, *_rayleigh(h, x))
+
+
+def _rayleigh(h, x: np.ndarray) -> tuple[float, float]:
+    hx = h.matvec(x)
+    theta = float(x @ hx)
+    return theta, float(np.linalg.norm(hx - theta * x))
+
+
+def _certified_lowest(h, tol: float, seed: int, v0: np.ndarray | None):
+    """Returns (x, theta, residual, lower_bound, steps, factorizations)."""
+    test = ShiftTest(h.band())
+    if v0 is None or not np.any(v0):
+        v0 = np.random.default_rng(seed).standard_normal(h.dim)
+    x = np.array(v0, dtype=float) / np.linalg.norm(v0)
+    theta, r = _rayleigh(h, x)
+    # proven: lo <= E0 (strictly below the Gershgorin bound) and E0 <= hi
+    lo = test.lowest - 2.0 * test.slack
+    hi = min(theta, float(test.ab[0].min()))
+    steps = 0
+    while test.count < MAX_FACTORIZATIONS:
+        target = tol * max(1.0, abs(theta))
+        sigma = theta - r - target - 2.0 * test.slack
+        if r <= target:
+            if not test.below_spectrum(sigma):
+                raise ConvergenceError(
+                    f"eigenvalue {theta:.12g} (residual {r:.3e}) is not the lowest: "
+                    f"the spectrum reaches below {sigma:.12g}", residual=r)
+            # the certified shift is the closest yet: one more cheap step
+            return (*test.step(h, x), sigma, steps + 1, test.count)
+        # raise the shift to the Rayleigh estimate or else the midpoint of
+        # [lo, hi], whichever is first proven below E0; else refactor at lo
+        for trial in (sigma, 0.5 * (lo + hi)):
+            if trial > lo:
+                if test.below_spectrum(trial):
+                    lo = trial
+                    break
+                hi = min(hi, trial + 2.0 * test.slack)
+        else:
+            if not test.below_spectrum(lo):
+                raise ConvergenceError(f"the proven shift {lo:.12g} failed to factor",
+                                       residual=r)
+        x, theta, r = test.step(h, x)
+        steps += 1
+        hi = min(hi, theta)
+    raise ConvergenceError(
+        f"shift-invert did not converge in {test.count} factorizations "
+        f"(residual {r:.3e}, target {tol * max(1.0, abs(theta)):.3e})", residual=r)
+
+
+def ground_state(h, tol: float = 1e-10, seed: int = 0, dense: bool = False,
+                 v0: np.ndarray | None = None) -> GroundState:
+    """Lowest eigenpair of an assembled (optionally projected) matrix.
+
+    Certified: the energy is a Rayleigh quotient and ``lower_bound``, at most
+    r + tol*max(1, |E|) (plus rounding slack) below it, is proven to lie
+    below the spectrum.  Raises ConvergenceError (residual attached) rather
+    than return an uncertified pair.  ``seed`` draws the start vector unless
+    ``v0`` gives one; ``dense`` uses dense ``eigh`` instead (oracle path).
+    """
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    if dense:
+        vals, vecs = eigh(h.to_dense(), subset_by_index=(0, 0))
+        energy, vec, steps, count, bound = vals[0], vecs[:, 0], 0, 0, None
+        resid = float(np.linalg.norm(h.matvec(vec) - energy * vec))
     else:
-        q = rng.standard_normal(dim)
-    q /= np.linalg.norm(q)
-
-    max_iter = min(max_iter, dim)
-    Q = np.empty((dim, min(_CHUNK, max_iter + 1)))
-    Q[:, 0] = q
-    alphas: list[float] = []
-    betas: list[float] = []
-    ritz_history: list[float] = []
-    theta_prev = np.inf
-
-    m = 0
-    while m < max_iter:
-        if m + 1 >= Q.shape[1]:
-            extra = np.empty((dim, min(_CHUNK, max_iter + 1 - Q.shape[1])))
-            Q = np.hstack([Q, extra])
-        w = op.matvec(Q[:, m])
-        alpha = float(Q[:, m] @ w)
-        alphas.append(alpha)
-        w -= alpha * Q[:, m]
-        if m > 0:
-            w -= betas[-1] * Q[:, m - 1]
-        # two-pass Gram-Schmidt against every stored vector kills the
-        # rounding-induced loss of orthogonality (ghost eigenvalues)
-        w -= Q[:, : m + 1] @ (Q[:, : m + 1].T @ w)
-        w -= Q[:, : m + 1] @ (Q[:, : m + 1].T @ w)
-        beta = float(np.linalg.norm(w))
-        m += 1
-
-        if beta < 1e-14 * scale:
-            # invariant subspace: Ritz pairs are exact; top up with a fresh
-            # random direction if more pairs are still needed
-            if m >= nev:
-                betas.append(0.0)
-                break
-            w = rng.standard_normal(dim)
-            w -= Q[:, :m] @ (Q[:, :m].T @ w)
-            beta = float(np.linalg.norm(w))
-        betas.append(beta)
-        Q[:, m] = w / beta
-
-        if m >= max(nev + 1, 3):
-            try:
-                theta, s = eigh_tridiagonal(
-                    np.asarray(alphas),
-                    np.asarray(betas[:-1]),
-                    select="i",
-                    select_range=(0, nev - 1),
-                )
-            except np.linalg.LinAlgError:
-                continue
-            ritz_history.append(float(theta[0]))
-            bound = beta * np.max(np.abs(s[-1, :]))
-            theta_stable = abs(theta[0] - theta_prev) <= tol * max(1.0, abs(theta[0]))
-            theta_prev = theta[0]
-            if bound <= tol * scale and theta_stable:
-                break
-
-    theta, s = eigh_tridiagonal(
-        np.asarray(alphas),
-        np.asarray(betas[: len(alphas) - 1]) if len(alphas) > 1 else np.empty(0),
-        select="i",
-        select_range=(0, min(nev, len(alphas)) - 1),
-    )
-    vecs = Q[:, : len(alphas)] @ s
-    # residual check on exit; refuse to hand back a silent partial answer
-    worst = 0.0
-    for i in range(vecs.shape[1]):
-        v = vecs[:, i]
-        v /= np.linalg.norm(v)
-        vecs[:, i] = v
-        worst = max(worst, float(np.linalg.norm(op.matvec(v) - theta[i] * v)))
-    if worst > 10.0 * tol * scale:
-        raise ConvergenceError(
-            f"Lanczos did not converge in {m} iterations "
-            f"(residual {worst:.3e}, target {tol * scale:.3e})",
-            residual=worst,
-        )
-    return theta, vecs, m, ritz_history
-
-
-def _metadata(h) -> dict:
-    params = getattr(h, "params", None)
-    return {
-        "basis": getattr(h, "basis", "generic"),
-        "n_tr": getattr(h, "n_tr", None),
-        "sector": getattr(h, "sector", "full"),
-        "n_atoms": params.n_atoms if params is not None else None,
-    }
-
-
-def _package(h, energy, vec, iterations, method, history) -> GroundState:
-    resid = float(np.linalg.norm(h.matvec(vec) - energy * vec))
+        vec, energy, resid, bound, steps, count = _certified_lowest(h, tol, seed, v0)
     full_vec = h.expand(vec) if hasattr(h, "expand") else vec
-    full_vec = _canonical_sign(full_vec)
     return GroundState(
         energy=float(energy),
-        vector=full_vec,
+        vector=_canonical_sign(full_vec),
+        basis=h.basis,
+        n_tr=h.n_tr,
+        sector=h.sector,
         residual=resid,
-        iterations=iterations,
-        method=method,
-        ritz_history=tuple(history),
-        **_metadata(h),
+        iterations=steps,
+        method="dense" if dense else "shift-invert",
+        n_atoms=h.params.n_atoms,
+        factorizations=count,
+        lower_bound=bound,
     )
-
-
-def ground_state(h, tol: float = 1e-10, seed: int = 0,
-                 max_iter: int | None = None, dense_cutoff: int = DENSE_CUTOFF,
-                 v0: np.ndarray | None = None) -> GroundState:
-    """Lowest eigenpair of a symmetric operator.
-
-    Deterministic for a fixed seed.  Falls back to a dense solver below
-    ``dense_cutoff``; raises ConvergenceError (with the best residual) instead
-    of returning an unconverged pair.  ``v0`` optionally seeds the Krylov
-    space (e.g. the solution at the previous truncation).
-    """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if h.dim <= dense_cutoff:
-        vals, vecs = eigh(h.to_dense(), subset_by_index=(0, 0))
-        return _package(h, vals[0], vecs[:, 0], 0, "dense", ())
-    if max_iter is None:
-        max_iter = min(h.dim, 2500)
-    theta, vecs, m, hist = _lanczos_lowest(h, 1, tol, seed, max_iter, v0=v0)
-    return _package(h, theta[0], vecs[:, 0], m, "lanczos", hist)
-
-
-def lowest_pair(h, tol: float = 1e-10, seed: int = 0,
-                max_iter: int | None = None, dense_cutoff: int = DENSE_CUTOFF):
-    """Two lowest eigenpairs, mutually orthogonal."""
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if h.dim <= dense_cutoff:
-        vals, vecs = eigh(h.to_dense(), subset_by_index=(0, 1))
-        g0 = _package(h, vals[0], vecs[:, 0], 0, "dense", ())
-        g1 = _package(h, vals[1], vecs[:, 1], 0, "dense", ())
-        return g0, g1
-    if max_iter is None:
-        max_iter = min(h.dim, 2500)
-    theta, vecs, m, hist = _lanczos_lowest(h, 2, tol, seed, max_iter)
-    v0, v1 = vecs[:, 0], vecs[:, 1]
-    v1 = v1 - (v0 @ v1) * v0
-    v1 /= np.linalg.norm(v1)
-    g0 = _package(h, theta[0], v0, m, "lanczos", hist)
-    g1 = _package(h, theta[1], v1, m, "lanczos", ())
-    return g0, g1

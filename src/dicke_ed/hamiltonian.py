@@ -11,6 +11,10 @@ Two assemblies share one block structure over the sector index:
   times the identity, plus a boson hopping term omega*g_n*sqrt(l+1) inside
   each sector (tridiagonal in l).
 
+The solver and the dense views read both matrices, and their parity
+projections, in LAPACK lower band storage (``band()``); matvec serves the
+residuals.
+
 Both matrices commute with the parity operator, which acts on the working
 basis as (n, k) -> (-n, k) with amplitude (-1)^k.  The spin part of the
 rotation contributes no phase: exp(i*pi*j) * exp(-i*pi*J_x) |j,n> = |j,-n>
@@ -37,6 +41,7 @@ __all__ = [
     "parity_operator",
     "project_parity",
     "dump_coo",
+    "gershgorin",
     "DEFAULT_DIM_CAP",
 ]
 
@@ -92,45 +97,31 @@ class BlockHamiltonian:
             Y[:, 1:] += amp * lad * X[:, :-1]
         return Y.reshape(-1)
 
-    def diag_block(self, i: int) -> np.ndarray:
-        """Dense diagonal block of sector i."""
-        block = np.diag(self.diag[i])
-        if self.basis == "dfs":
-            lad = self.boson_amp[i] * np.sqrt(np.arange(1, self.k_dim))
-            block += np.diag(lad, 1) + np.diag(lad, -1)
-        return block
-
     def offdiag_block(self, i: int) -> np.ndarray:
         """Dense block coupling sector i to sector i+1 (row i, column i+1)."""
         if self.basis == "dcs":
             return self.spin_coup[i] * self.kernel_up
         return self.spin_coup[i] * np.eye(self.k_dim)
 
+    @property
+    def bandwidth(self) -> int:
+        """Lower bandwidth: dense kernel blocks reach 2K-1 below the diagonal,
+        the identity spin blocks of the bare basis exactly K."""
+        return 2 * self.k_dim - 1 if self.basis == "dcs" else self.k_dim
+
+    def band(self) -> np.ndarray:
+        """The matrix in LAPACK lower band storage (Fortran order)."""
+        ab = np.zeros((self.bandwidth + 1, self.dim), order="F")
+        _fill_sectors(self, ab, first=0, offset=0)
+        return ab
+
     def to_dense(self) -> np.ndarray:
-        S, K = self.s_dim, self.k_dim
-        H = np.zeros((self.dim, self.dim))
-        for i in range(S):
-            sl = slice(i * K, (i + 1) * K)
-            H[sl, sl] = self.diag_block(i)
-            if i + 1 < S:
-                up = slice((i + 1) * K, (i + 2) * K)
-                B = self.offdiag_block(i)
-                H[sl, up] = B
-                H[up, sl] = B.T
-        return H
+        return _band_to_dense(self.band())
 
     def norm_estimate(self) -> float:
-        """Gershgorin-style upper bound on the spectral radius."""
-        bound = np.abs(self.diag).max()
-        if self.basis == "dcs":
-            row_sum = np.abs(self.kernel_up).sum(axis=1).max()
-            col_sum = np.abs(self.kernel_up).sum(axis=0).max()
-            bound += np.abs(self.spin_coup).max() * (row_sum + col_sum)
-        else:
-            bound += 2.0 * np.abs(self.spin_coup).max()
-            if self.k_dim > 1:
-                bound += 2.0 * np.abs(self.boson_amp).max() * math.sqrt(self.n_tr)
-        return float(bound)
+        """Gershgorin upper bound on the spectral radius."""
+        lowest, highest = gershgorin(self.band())
+        return max(-lowest, highest)
 
 
 def _check_dim(params: ModelParams, n_tr: int, max_dim: int | None):
@@ -150,6 +141,48 @@ def _spin_couplings(params: ModelParams) -> np.ndarray:
     return np.array(
         [-params.delta * ladder_coeff(j, n, +1) for n in n_vals[:-1]]
     )
+
+
+def _fill_sectors(h: BlockHamiltonian, ab: np.ndarray, first: int, offset: int):
+    """Write sectors first..S-1 of ``h`` into the lower band ``ab``, the block
+    of sector ``first`` starting at row and column ``offset``."""
+    K = h.k_dim
+    m = h.s_dim - first
+    cols = slice(offset, offset + m * K)
+    ab[0, cols] = h.diag[first:].ravel()
+    coup = h.spin_coup[first:]
+    if h.basis == "dfs":
+        hop = np.zeros((m, K))
+        hop[:, :-1] = h.boson_amp[first:, np.newaxis] * np.sqrt(np.arange(1, K))
+        ab[1, cols] = hop.ravel()
+        ab[K, offset: offset + (m - 1) * K] = np.repeat(coup, K)
+        return
+    # row (t+1, a), column (t, b) holds coup[t] * kernel_up[b, a], at band row K+a-b
+    for b in range(K):
+        ab[K - b: 2 * K - b, offset + b: offset + (m - 1) * K: K] = np.outer(
+            h.kernel_up[b], coup)
+
+
+def gershgorin(ab: np.ndarray) -> tuple[float, float]:
+    """(lowest, highest) Gershgorin bounds of a symmetric lower band."""
+    n = ab.shape[1]
+    radius = np.zeros(n)
+    for d in range(1, min(ab.shape[0], n)):
+        a = np.abs(ab[d, : n - d])
+        radius[: n - d] += a
+        radius[d:] += a
+    return float(np.min(ab[0] - radius)), float(np.max(ab[0] + radius))
+
+
+def _band_to_dense(ab: np.ndarray) -> np.ndarray:
+    """Dense symmetric matrix from its lower band storage."""
+    n = ab.shape[1]
+    H = np.zeros((n, n))
+    for d in range(min(ab.shape[0], n)):
+        idx = np.arange(n - d)
+        H[idx + d, idx] = ab[d, : n - d]
+        H[idx, idx + d] = ab[d, : n - d]
+    return H
 
 
 def assemble_dcs(params: ModelParams, n_tr: int, max_dim: int | None = None) -> BlockHamiltonian:
@@ -288,9 +321,34 @@ class ProjectedHamiltonian:
     def matvec(self, u: np.ndarray) -> np.ndarray:
         return self.restrict(self.full.matvec(self.expand(u)))
 
+    def band(self) -> np.ndarray:
+        """The projected matrix in LAPACK lower band storage (Fortran order).
+
+        Sectors above the centre keep their blocks.  With a centre sector
+        (even N) its retained states couple to the first kept sector with
+        weight sqrt(2); without one the mirror coupling folds into the first
+        kept diagonal block as sign * B^T * (-1)^k'.
+        """
+        full = self.full
+        K, nc, i0 = full.k_dim, len(self._center_keep), self._upper[0]
+        ab = np.zeros((full.bandwidth + 1, self.dim), order="F")
+        _fill_sectors(full, ab, first=i0, offset=nc)
+        B = full.offdiag_block(i0 - 1)
+        if self._has_center:
+            # the centre block is diagonal: boson hopping vanishes at n = 0
+            ab[0, :nc] = full.diag[self._center, self._center_keep]
+            for c, k in enumerate(self._center_keep):
+                # the bare basis's band is narrower; B vanishes past its edge
+                top = min(K, ab.shape[0] - nc + c)
+                ab[nc - c: nc - c + top, c] = math.sqrt(2.0) * B[k, :top]
+        else:
+            fold = self.sign * B.T * self._ksigns
+            for b in range(K):
+                ab[: K - b, b] += fold[b:, b]
+        return ab
+
     def to_dense(self) -> np.ndarray:
-        cols = [self.matvec(e) for e in np.eye(self.dim)]
-        return np.column_stack(cols)
+        return _band_to_dense(self.band())
 
     def norm_estimate(self) -> float:
         return self.full.norm_estimate()
@@ -306,20 +364,13 @@ def dump_coo(h: BlockHamiltonian, fileobj) -> int:
 
     Returns the number of lines written.  Debug aid; both triangles emitted.
     """
-    S, K = h.s_dim, h.k_dim
+    ab = h.band()
     count = 0
-    for i in range(S):
-        base = i * K
-        blocks = [(base, h.diag_block(i))]
-        if i + 1 < S:
-            B = h.offdiag_block(i)
-            blocks.append(((i + 1) * K, B))
-        for col_base, block in blocks:
-            rows, cols = np.nonzero(block)
-            for r, c in zip(rows, cols):
-                fileobj.write(f"{base + r} {col_base + c} {block[r, c]:.17g}\n")
+    for d in range(ab.shape[0]):
+        for c in np.nonzero(ab[d])[0]:
+            fileobj.write(f"{c + d} {c} {ab[d, c]:.17g}\n")
+            count += 1
+            if d:
+                fileobj.write(f"{c} {c + d} {ab[d, c]:.17g}\n")
                 count += 1
-                if col_base != base:
-                    fileobj.write(f"{col_base + c} {base + r} {block[r, c]:.17g}\n")
-                    count += 1
     return count

@@ -192,7 +192,7 @@ def converge(
     basis: str = "dcs",
     solver_tol: float = 1e-10,
     seed: int = 0,
-    dense_cutoff: int | None = None,
+    dense: bool = False,
     max_dim: int | None = None,
 ) -> ConvergedResult:
     """Solve at successive truncations until the tracked observables settle.
@@ -211,7 +211,6 @@ def converge(
     if threshold <= 0.0:
         raise ValueError("threshold must be positive")
     assemble = assemble_dcs if basis == "dcs" else assemble_dfs
-    kwargs = {} if dense_cutoff is None else {"dense_cutoff": dense_cutoff}
     history = []
     prev = None
     prev_gs = None
@@ -227,7 +226,7 @@ def converge(
             padded[:, : old.shape[1]] = old[:, : n_tr + 1]
             flat = padded.reshape(-1)
             v0 = h.restrict(flat) if sector != "full" else flat
-        gs = ground_state(h, tol=solver_tol, seed=seed, v0=v0, **kwargs)
+        gs = ground_state(h, tol=solver_tol, seed=seed, dense=dense, v0=v0)
         vals = _observable_set(gs, params)
         prev_gs = gs
         history.append((n_tr, vals))

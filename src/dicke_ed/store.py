@@ -13,6 +13,7 @@ still present) is a cache hit; callers re-emit the stored primary file so
 repeated identical invocations produce identical output.
 """
 
+import functools
 import hashlib
 import json
 import os
@@ -34,8 +35,13 @@ def config_digest(config: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
+@functools.cache
 def describe_version() -> str:
-    """Package version, decorated with the git commit when inside a checkout."""
+    """Package version, decorated with the git commit when inside a checkout.
+
+    Computed once per process: every manifest record needs it, and each
+    computation spawns ``git``.
+    """
     here = Path(__file__).resolve().parent
     try:
         out = subprocess.run(

@@ -8,6 +8,7 @@ package is a genuine cross-check, not a tautology.
 
 import math
 from decimal import Decimal, getcontext
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import eigh, expm
@@ -69,6 +70,17 @@ def oracle_ground(n_atoms, omega, delta, lam, cutoff, n_pairs=1):
     H = kron_rotated(n_atoms, omega, delta, lam, cutoff)
     vals, vecs = eigh(H, subset_by_index=(0, n_pairs - 1))
     return vals, vecs
+
+
+def lowest_pair(h):
+    """Two lowest eigenpairs of an assembled (or projected) matrix, by dense
+    diagonalization; vectors are expanded to the full flat basis."""
+    vals, vecs = eigh(h.to_dense(), subset_by_index=(0, 1))
+    expand = getattr(h, "expand", lambda v: v)
+    return tuple(
+        SimpleNamespace(energy=float(vals[i]), vector=expand(vecs[:, i]))
+        for i in range(2)
+    )
 
 
 def oracle_moments(n_atoms, omega, delta, lam, cutoff):

@@ -1,35 +1,41 @@
+import itertools
+
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from dicke_ed.errors import ConvergenceError
-from dicke_ed.eigen import MatrixOperator, ground_state, lowest_pair
-from dicke_ed.hamiltonian import assemble_dcs, project_parity
+from dicke_ed.eigen import ShiftTest, ground_state
+from dicke_ed.hamiltonian import assemble_dcs, assemble_dfs, project_parity
 from dicke_ed.model import ModelParams, critical_coupling
 
+from oracles import lowest_pair
 
-def random_symmetric(dim, seed):
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal((dim, dim))
-    return MatrixOperator(0.5 * (A + A.T))
+CERT_GRID = list(itertools.product(
+    (1, 2, 3, 5, 8, 13, 32),
+    (0.0, 0.3, 0.5, 1.0, 2.0),
+    (("dcs", 4), ("dcs", 7), ("dfs", 20)),
+    ("even", "odd", "full"),
+))
+
+
+def sector_matrix(n_atoms, lam, basis, n_tr, sector):
+    assemble = assemble_dcs if basis == "dcs" else assemble_dfs
+    h = assemble(ModelParams(n_atoms, 1.0, 1.0, lam), n_tr)
+    return h if sector == "full" else project_parity(h, sector)
 
 
 class TestGroundState:
     def test_decoupled_limit_lanczos(self):
         p = ModelParams(16, 1.0, 1.3, 0.0)
-        gs = ground_state(assemble_dcs(p, 10), dense_cutoff=0)
+        gs = ground_state(assemble_dcs(p, 10))
         assert gs.energy == pytest.approx(-p.j * p.delta, abs=1e-10)
-        assert gs.method == "lanczos"
-
-    def test_random_matrix_against_dense(self):
-        op = random_symmetric(50, seed=7)
-        gs = ground_state(op, dense_cutoff=0)
-        exact = np.linalg.eigvalsh(op.matrix)[0]
-        assert gs.energy == pytest.approx(exact, abs=1e-10)
+        assert gs.method == "shift-invert"
 
     def test_state_invariants(self):
         p = ModelParams(12, 1.0, 1.0, 0.6)
         h = project_parity(assemble_dcs(p, 12), "even")
-        gs = ground_state(h, dense_cutoff=0)
+        gs = ground_state(h)
         assert np.linalg.norm(gs.vector) == pytest.approx(1.0, abs=1e-12)
         assert gs.residual < 1e-10 * h.norm_estimate() * 10
         assert gs.sector == "even"
@@ -39,57 +45,83 @@ class TestGroundState:
     def test_dense_and_lanczos_agree(self):
         p = ModelParams(10, 1.0, 1.0, 0.7)
         h = assemble_dcs(p, 9)
-        gd = ground_state(h)  # dim 110 -> dense
-        gl = ground_state(h, dense_cutoff=0)
-        assert gd.method == "dense" and gl.method == "lanczos"
+        gd = ground_state(h, dense=True)
+        gl = ground_state(h)
+        assert gd.method == "dense" and gl.method == "shift-invert"
         assert gd.energy == pytest.approx(gl.energy, abs=1e-10)
         overlap = abs(gd.vector @ gl.vector)
         assert overlap == pytest.approx(1.0, abs=1e-8)
 
     def test_seed_independence(self):
-        op = random_symmetric(120, seed=1)
+        op = project_parity(assemble_dcs(ModelParams(20, 1.0, 1.0, 0.6), 5), "even")
         tol = 1e-10
-        e1 = ground_state(op, tol=tol, seed=0, dense_cutoff=0).energy
-        e2 = ground_state(op, tol=tol, seed=12345, dense_cutoff=0).energy
+        e1 = ground_state(op, tol=tol, seed=0).energy
+        e2 = ground_state(op, tol=tol, seed=12345).energy
         assert abs(e1 - e2) <= 10 * tol * op.norm_estimate()
 
     def test_deterministic_for_fixed_seed(self):
         p = ModelParams(14, 1.0, 1.0, 0.8)
         h = project_parity(assemble_dcs(p, 10), "even")
-        g1 = ground_state(h, seed=3, dense_cutoff=0)
-        g2 = ground_state(h, seed=3, dense_cutoff=0)
+        g1 = ground_state(h, seed=3)
+        g2 = ground_state(h, seed=3)
         assert g1.energy == g2.energy
         assert np.array_equal(g1.vector, g2.vector)
-
-    def test_ritz_history_monotone(self):
-        op = random_symmetric(200, seed=2)
-        gs = ground_state(op, dense_cutoff=0)
-        hist = np.asarray(gs.ritz_history)
-        assert len(hist) > 3
-        assert np.all(np.diff(hist) <= 1e-11)
 
     def test_warm_start_converges_faster(self):
         p = ModelParams(64, 1.0, 1.0, 0.5)
         h = project_parity(assemble_dcs(p, 10), "even")
-        cold = ground_state(h, dense_cutoff=0)
-        gs_small = ground_state(project_parity(assemble_dcs(p, 8), "even"), dense_cutoff=0)
+        cold = ground_state(h)
+        gs_small = ground_state(project_parity(assemble_dcs(p, 8), "even"))
         padded = np.zeros((65, 11))
         padded[:, :9] = gs_small.table
         v0 = h.restrict(padded.reshape(-1))
-        warm = ground_state(h, dense_cutoff=0, v0=v0)
+        warm = ground_state(h, v0=v0)
         assert warm.energy == pytest.approx(cold.energy, abs=1e-9)
         assert warm.iterations <= cold.iterations
 
-    def test_nonconvergence_raises_with_residual(self):
-        op = random_symmetric(300, seed=4)
-        with pytest.raises(ConvergenceError) as info:
-            ground_state(op, tol=1e-12, max_iter=5, dense_cutoff=0)
-        assert info.value.residual is not None and info.value.residual > 0
-
     def test_bad_tolerance(self):
-        op = random_symmetric(10, seed=0)
+        op = assemble_dcs(ModelParams(3, 1.0, 1.0, 0.5), 2)
         with pytest.raises(ValueError):
             ground_state(op, tol=0.0)
+
+
+class TestCertificate:
+    def test_matches_dense_over_grid(self):
+        """Every solve is certified and agrees with dense eigh, including
+        lambda = 0, where at small N the Gershgorin bound equals E0."""
+        bad = []
+        for n_atoms, lam, (basis, n_tr), sector in CERT_GRID:
+            h = sector_matrix(n_atoms, lam, basis, n_tr, sector)
+            exact = eigh(h.to_dense(), subset_by_index=(0, 0), eigvals_only=True)[0]
+            gs = ground_state(h)
+            ok = (gs.method == "shift-invert"
+                  and abs(gs.energy - exact) <= 1e-9 * max(1.0, abs(exact))
+                  and gs.lower_bound <= exact <= gs.energy + 1e-12 * max(1.0, abs(exact)))
+            if not ok:
+                bad.append((n_atoms, lam, basis, n_tr, sector, gs.energy, exact))
+        assert not bad, bad
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 2.0])
+    def test_shift_at_or_above_e0_refused(self, lam):
+        h = sector_matrix(8, lam, "dcs", 6, "even")
+        e0 = eigh(h.to_dense(), subset_by_index=(0, 0), eigvals_only=True)[0]
+        test = ShiftTest(h.band())
+        gap = 1e-6 * max(1.0, abs(e0))
+        assert test.lowest <= e0
+        assert test.below_spectrum(test.lowest - 2.0 * test.slack)
+        assert test.below_spectrum(e0 - gap)
+        for sigma in (e0, e0 + gap, e0 + 1.0):
+            assert not test.below_spectrum(sigma)
+
+    def test_failed_closing_certificate_raises(self):
+        """Started on an excited eigenvector, the residual is already tiny; the
+        closing factorization finds the spectrum below it and refuses."""
+        h = sector_matrix(6, 0.7, "dcs", 6, "even")
+        vals, vecs = eigh(h.to_dense(), subset_by_index=(0, 1))
+        with pytest.raises(ConvergenceError) as info:
+            ground_state(h, v0=vecs[:, 1])
+        assert info.value.residual is not None
+        assert 0.0 <= info.value.residual <= 1e-10 * abs(vals[1])
 
 
 class TestLowestPair:
@@ -102,14 +134,6 @@ class TestLowestPair:
         p = ModelParams(8, 1.0, 1.0, 1.0)  # alpha = 4
         g0, g1 = lowest_pair(assemble_dcs(p, 24))
         assert g1.energy - g0.energy < 1e-6
-        assert abs(g0.vector @ g1.vector) < 1e-8
-
-    def test_lanczos_pair_matches_dense(self):
-        op = random_symmetric(150, seed=8)
-        exact = np.linalg.eigvalsh(op.matrix)[:2]
-        g0, g1 = lowest_pair(op, dense_cutoff=0)
-        assert g0.energy == pytest.approx(exact[0], abs=1e-9)
-        assert g1.energy == pytest.approx(exact[1], abs=1e-9)
         assert abs(g0.vector @ g1.vector) < 1e-8
 
     def test_gap_minimum_sits_in_critical_window(self):

@@ -220,6 +220,19 @@ class TestParity:
             assert np.linalg.norm(x) == pytest.approx(np.linalg.norm(u), rel=1e-13)
             assert np.allclose(hp.restrict(x), u, atol=1e-13)
 
+    @pytest.mark.parametrize("n_atoms", [1, 2, 5, 6])
+    def test_projected_band_matches_matvec(self, n_atoms):
+        """The band (centre coupling for even N, fold for odd N) equals the
+        matrix of the expand/restrict round trip, column by column."""
+        p = ModelParams(n_atoms, 1.0, 0.8, 0.9)
+        for assemble in (assemble_dcs, assemble_dfs):
+            for n_tr in (0, 3, 6):
+                for sector in ("even", "odd"):
+                    hp = project_parity(assemble(p, n_tr), sector)
+                    cols = np.column_stack([hp.matvec(e) for e in np.eye(hp.dim)])
+                    assert hp.band().flags.f_contiguous
+                    assert np.max(np.abs(hp.to_dense() - cols)) < 1e-12
+
     def test_strong_coupling_doublet(self):
         p = ModelParams(8, 1.0, 1.0, 1.0)  # alpha = 4
         h = assemble_dcs(p, 24)

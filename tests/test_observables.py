@@ -195,7 +195,7 @@ class TestConvergeDriver:
     def test_dense_oracle_path_matches(self):
         p = ModelParams(12, 1.0, 1.0, 0.7)
         a = converge(p, threshold=1e-8)
-        b = converge(p, threshold=1e-8, dense_cutoff=10**9)
+        b = converge(p, threshold=1e-8, dense=True)
         assert a.values["e0"] == pytest.approx(b.values["e0"], abs=1e-9)
         assert a.values["c_n"] == pytest.approx(b.values["c_n"], abs=1e-8)
 
