@@ -4,13 +4,7 @@ basis, with a bare-Fock baseline and finite-size scaling extraction."""
 __version__ = "0.1.0"
 
 from .model import ModelParams, SectorIndex, critical_coupling, ladder_coeff
-from .dcs_basis import (
-    OverlapKernel,
-    displaced_overlap,
-    displacement_table,
-    overlap_kernel,
-    unitarity_defect,
-)
+from .dcs_basis import OverlapKernel, overlap_kernel
 from .hamiltonian import (
     BlockHamiltonian,
     ParityOperator,
@@ -40,8 +34,7 @@ from .scaling import (
 
 __all__ = [
     "ModelParams", "SectorIndex", "critical_coupling", "ladder_coeff",
-    "OverlapKernel", "displaced_overlap", "displacement_table",
-    "overlap_kernel", "unitarity_defect",
+    "OverlapKernel", "overlap_kernel",
     "BlockHamiltonian", "ParityOperator", "ProjectedHamiltonian",
     "assemble_dcs", "assemble_dfs", "parity_operator", "project_parity",
     "GroundState", "ground_state",

@@ -4,131 +4,52 @@ Fock states built on oscillators whose vacua are coherent states displaced by
 a real amount are not orthogonal between frames; their mutual overlaps are
 Franck-Condon-type factors with a closed form.  Everything here is real.
 
-Two table conventions are produced:
+The table built here is the *alternating* one, ``B[l, k] = B_{l,k}(g)``,
+symmetric in (l, k),
 
-- the *alternating* table ``B[l, k] = B_{l,k}(g)``, symmetric in (l, k),
+    B_{l,k}(g) = exp(-g^2/2) * sum_{r=0}^{min(l,k)}
+                 (-1)^r sqrt(l! k!) g^{l+k-2r} / ((l-r)! (k-r)! r!),
 
-      B_{l,k}(g) = exp(-g^2/2) * sum_{r=0}^{min(l,k)}
-                   (-1)^r sqrt(l! k!) g^{l+k-2r} / ((l-r)! (k-r)! r!),
-
-  which carries the overlap magnitude; the physical overlap between frames
-  one displacement step apart is recovered by dressing a row or column sign
-  onto it: (-1)^l B[l, k] for a step down in the sector ladder and
-  (-1)^k B[l, k] for a step up.  Note B(0) = diag((-1)^l): the *dressed*
-  kernels, not the raw table, reduce to the identity at zero displacement.
-
-- the *displacement* table ``<l| exp(d (adag - a)) |k>`` for arbitrary real d,
-  needed for sector pairs two steps apart (d = 2g).
+which carries the overlap magnitude; the physical overlap <l| D(d) |k>,
+D(d) = exp(d (adag - a)), between frames one displacement step apart is
+recovered by dressing a row or column sign onto it: (-1)^l B[l, k] for a step
+down in the sector ladder (d = -g) and (-1)^k B[l, k] for a step up (d = +g).
+Note B(0) = diag((-1)^l): the *dressed* kernels, not the raw table, reduce to
+the identity at zero displacement.  Sector pairs two steps apart use the
+table at 2g.
 
 Numerical route: the closed form via associated Laguerre polynomials,
 
-    <l| D(d) |k> = sqrt(k!/l!) d^{l-k} exp(-d^2/2) L_k^{(l-k)}(d^2),  l >= k,
+    <l| D(g) |k> = sqrt(k!/l!) g^{l-k} exp(-g^2/2) L_k^{(l-k)}(g^2),  l >= k,
 
 evaluated with a scale-carrying three-term recurrence, is stable for every
-(l, k, d) used here (relative error grows only linearly in the degree).  The
+(l, k, g) used here (relative error grows only linearly in the degree).  The
 direct alternating sum cancels catastrophically once its largest term exceeds
 ~1e3 times the result (e.g. l = k = 30 at g = 2 loses ~7 digits even with
-exact-integer term generation), so it is kept only as an independent
-cross-check, exposed as :func:`overlap_sum_term` for the test suite.
+exact-integer term generation); the test suite keeps it as a cross-check.
+
+A table is built by one vectorized recurrence over its whole lower triangle.
+The pairs (l, k), l >= k, are ordered by k; the Laguerre degree of a pair is
+k and its order l - k, so step i of the recurrence applies exactly to the
+contiguous suffix of pairs with k > i.  Each step performs the scalar
+recurrence's IEEE operations in the same order, and the logarithms of the
+rare renormalizations and the final logarithms and exponentials go through
+:mod:`math` entry by entry, so every table is bit-identical to evaluating the
+closed form one entry at a time (the test suite keeps that scalar form as its
+oracle).
 """
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-__all__ = [
-    "OverlapKernel",
-    "displaced_overlap",
-    "overlap_kernel",
-    "displacement_table",
-    "unitarity_defect",
-    "overlap_sum_term",
-]
+__all__ = ["OverlapKernel", "overlap_kernel"]
 
 # Renormalization bounds for the scale-carrying Laguerre recurrence.
 _RESCALE_HI = 1e250
 _RESCALE_LO = 1e-250
-
-
-def _laguerre_scaled(n: int, a: int, x: float) -> tuple[float, float]:
-    """Associated Laguerre L_n^(a)(x) as (mantissa, log_scale).
-
-    The value is mantissa * exp(log_scale); the split keeps the recurrence
-    in range for degrees and orders far beyond double-precision overflow.
-    """
-    if n == 0:
-        return 1.0, 0.0
-    prev = 1.0
-    cur = 1.0 + a - x
-    log_scale = 0.0
-    for i in range(1, n):
-        nxt = ((2 * i + 1 + a - x) * cur - (i + a) * prev) / (i + 1)
-        prev, cur = cur, nxt
-        mag = max(abs(prev), abs(cur))
-        if mag > _RESCALE_HI or (0.0 < mag < _RESCALE_LO):
-            prev /= mag
-            cur /= mag
-            log_scale += math.log(mag)
-    return cur, log_scale
-
-
-def displaced_overlap(l: int, k: int, delta: float) -> float:
-    """Matrix element <l| exp(delta*(adag - a)) |k> for real delta.
-
-    Uses the Laguerre closed form for l >= k and the symmetry
-    <l|D(delta)|k> = (-1)^(l-k) <k|D(delta)|l> otherwise.
-    """
-    if l < 0 or k < 0:
-        raise ValueError("Fock indices must be non-negative")
-    if delta == 0.0:
-        return 1.0 if l == k else 0.0
-    if l < k:
-        sign = -1.0 if (k - l) % 2 else 1.0
-        return sign * displaced_overlap(k, l, delta)
-    d = l - k
-    x = delta * delta
-    mant, log_scale = _laguerre_scaled(k, d, x)
-    log_pref = (
-        0.5 * (math.lgamma(k + 1) - math.lgamma(l + 1))
-        + d * math.log(abs(delta))
-        - 0.5 * x
-    )
-    sign = -1.0 if (delta < 0.0 and d % 2) else 1.0
-    if mant == 0.0:
-        return 0.0
-    if mant < 0.0:
-        sign, mant = -sign, -mant
-    log_total = log_pref + log_scale + math.log(mant)
-    if log_total < -745.0:
-        # true overlap underflows to zero
-        return 0.0
-    return sign * math.exp(log_total)
-
-
-def overlap_sum_term(l: int, k: int, g: float) -> float:
-    """Alternating-sum evaluation of B_{l,k}(g) with exact-integer factorial ratios.
-
-    Accurate only while the largest summand stays within a few orders of
-    magnitude of the result; used by the tests to cross-check the Laguerre
-    route inside that window.
-    """
-    if g == 0.0:
-        if l == k:
-            return -1.0 if l % 2 else 1.0
-        return 0.0
-    lk_fact = math.factorial(l) * math.factorial(k)
-    terms = []
-    for r in range(min(l, k) + 1):
-        denom = (
-            math.factorial(l - r) * math.factorial(k - r) * math.factorial(r)
-        )
-        ratio = math.sqrt(float(Fraction(lk_fact, denom * denom)))
-        term = ratio * g ** (l + k - 2 * r)
-        terms.append(-term if r % 2 else term)
-    return math.exp(-0.5 * g * g) * math.fsum(terms)
 
 
 @dataclass(frozen=True)
@@ -167,16 +88,64 @@ class OverlapKernel:
         raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
 
 
+def _math_map(fn, values: np.ndarray) -> np.ndarray:
+    """``fn`` from :mod:`math` applied element by element, without a list.
+
+    NumPy's own log and exp may round differently from :mod:`math` in the
+    last bit; the scalar form of the recurrence uses :mod:`math`.
+    """
+    return np.fromiter(map(fn, values), float, count=len(values))
+
+
+def _displaced_lower(g: float, k: np.ndarray, l: np.ndarray, size: int) -> np.ndarray:
+    """<l| D(g) |k> for g > 0 over the pairs l >= k of a size x size table,
+    listed in ascending k."""
+    x = g * g
+    a = (l - k).astype(float)
+    # degree-0 pairs hold L_0 = 1; the others start from (L_0, L_1) = (1, 1 + a - x)
+    prev = np.ones(len(k))
+    cur = np.where(k > 0, 1.0 + a - x, 1.0)
+    log_scale = np.zeros(len(k))
+    for i in range(1, size - 1):
+        s = (i + 1) * size - i * (i + 1) // 2  # first pair with k > i
+        p, c, aa = prev[s:], cur[s:], a[s:]
+        nxt = ((2 * i + 1 + aa - x) * c - (i + aa) * p) / (i + 1)
+        prev[s:] = c
+        cur[s:] = nxt
+        mag = np.maximum(np.abs(prev[s:]), np.abs(cur[s:]))
+        if mag.max() > _RESCALE_HI or mag.min() < _RESCALE_LO:
+            hit = np.flatnonzero((mag > _RESCALE_HI) | ((mag > 0.0) & (mag < _RESCALE_LO)))
+            m = mag[hit]
+            hit += s
+            prev[hit] /= m
+            cur[hit] /= m
+            log_scale[hit] += _math_map(math.log, m)
+
+    lgam = np.array([math.lgamma(n + 1) for n in range(size)])
+    log_pref = 0.5 * (lgam[k] - lgam[l]) + a * math.log(g) - 0.5 * x
+    nz = np.flatnonzero(cur)
+    mant = cur[nz]
+    log_total = log_pref[nz] + log_scale[nz] + _math_map(math.log, np.abs(mant))
+    keep = log_total >= -745.0  # below that the true overlap underflows
+    out = np.zeros(len(k))
+    out[nz[keep]] = np.where(mant[keep] < 0.0, -1.0, 1.0) * _math_map(
+        math.exp, log_total[keep])
+    return out
+
+
 @lru_cache(maxsize=128)
 def _overlap_kernel_cached(g: float, n_tr: int) -> OverlapKernel:
     size = n_tr + 1
+    n = np.arange(size)
+    k, l = np.nonzero(n[:, np.newaxis] <= n)  # pairs l >= k in ascending k
+    ksign = np.where(k % 2, -1.0, 1.0)
+    if g == 0.0:
+        vals = ksign * (l == k)
+    else:
+        vals = ksign * _displaced_lower(g, k, l, size)
     table = np.empty((size, size))
-    for l in range(size):
-        for k in range(l + 1):
-            sign = -1.0 if k % 2 else 1.0
-            val = sign * displaced_overlap(l, k, g)
-            table[l, k] = val
-            table[k, l] = val
+    table[l, k] = vals
+    table[k, l] = vals
     return OverlapKernel(delta=g, table=table, kind="alternating")
 
 
@@ -190,33 +159,3 @@ def overlap_kernel(g: float, n_tr: int) -> OverlapKernel:
     if n_tr < 0:
         raise ValueError(f"n_tr must be >= 0, got {n_tr}")
     return _overlap_kernel_cached(float(g), int(n_tr))
-
-
-@lru_cache(maxsize=128)
-def _displacement_table_cached(delta: float, n_tr: int) -> OverlapKernel:
-    size = n_tr + 1
-    table = np.empty((size, size))
-    for l in range(size):
-        for k in range(size):
-            table[l, k] = displaced_overlap(l, k, delta)
-    return OverlapKernel(delta=delta, table=table, kind="displacement")
-
-
-def displacement_table(delta: float, n_tr: int) -> OverlapKernel:
-    """Signed physical table <l|D(delta)|k> for l, k = 0..n_tr (cached)."""
-    if n_tr < 0:
-        raise ValueError(f"n_tr must be >= 0, got {n_tr}")
-    return _displacement_table_cached(float(delta), int(n_tr))
-
-
-def unitarity_defect(kernel: OverlapKernel) -> float:
-    """Worst deviation of a lower-half row from unit norm.
-
-    The exact (untruncated) tables are isometries, so row norms equal 1;
-    truncation chops the tail, hitting high rows first.  A small defect over
-    rows l <= n_tr/2 certifies the truncated table acts like an isometry on
-    the half of the space the physics lives in.
-    """
-    rows = kernel.n_tr // 2 + 1
-    sums = np.sum(kernel.table[:rows, :] ** 2, axis=1)
-    return float(np.max(np.abs(1.0 - sums)))

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dcs_basis import displaced_overlap, overlap_kernel
+from .dcs_basis import overlap_kernel
 from .eigen import GroundState, ground_state
 from .errors import ConvergenceError
 from .hamiltonian import assemble_dcs, assemble_dfs, project_parity
@@ -42,7 +42,6 @@ __all__ = [
     "berry_phase",
     "concurrence",
     "spin_expectations",
-    "to_bare_table",
     "result_row",
     "CSV_COLUMNS",
 ]
@@ -123,30 +122,6 @@ def berry_phase(gs: GroundState, params: ModelParams) -> float:
 def concurrence(gs: GroundState, params: ModelParams) -> float:
     """Scaled pairwise concurrence C_N = 1 - 4<J_y^2>/N."""
     return 1.0 - 4.0 * spin_expectations(gs, params)["jy2"] / params.n_atoms
-
-
-def to_bare_table(gs: GroundState, params: ModelParams, cutoff: int) -> np.ndarray:
-    """Coefficients of a displaced-basis state in the bare Fock basis.
-
-    Returns an (N+1, cutoff+1) table b[n, l].  The assembled eigenvectors
-    carry the alternating-sign gauge of the dressed kernels, so the physical
-    amplitude on |l>_bare (x) |j,n> is sum_k (-1)^k c[n,k] <l|D(-g_n)|k>.
-    Validation aid; observables never need this transformation.
-    """
-    if gs.basis != "dcs":
-        raise ValueError("to_bare_table applies to displaced-basis states")
-    C = gs.table
-    n_vals = params.sector_values()
-    K = gs.n_tr + 1
-    ksigns = np.where(np.arange(K) % 2, -1.0, 1.0)
-    out = np.empty((C.shape[0], cutoff + 1))
-    for i, n in enumerate(n_vals):
-        g = params.g(n)
-        T = np.array(
-            [[displaced_overlap(l, k, -g) for k in range(K)] for l in range(cutoff + 1)]
-        )
-        out[i] = T @ (ksigns * C[i])
-    return out
 
 
 @dataclass

@@ -168,14 +168,21 @@ def extrapolate_exponent(series: ScalingSeries) -> ExponentFit:
 def _sweep_point(args) -> dict:
     (n, omega, delta, lam, threshold, track, schedule, seed, solver_tol) = args
     params = ModelParams(n, omega, delta, lam)
-    res = converge(
-        params,
-        threshold=threshold,
-        schedule=schedule,
-        track=track,
-        solver_tol=solver_tol,
-        seed=seed,
-    )
+    try:
+        res = converge(
+            params,
+            threshold=threshold,
+            schedule=schedule,
+            track=track,
+            solver_tol=solver_tol,
+            seed=seed,
+        )
+    except ConvergenceError as exc:
+        raise ConvergenceError(
+            f"sweep point N={n} failed: {exc}",
+            residual=exc.residual,
+            history=exc.history,
+        ) from exc
     out = dict(res.values)
     out["n_tr_used"] = res.n_tr_used
     out["residual"] = res.ground.residual
@@ -210,20 +217,8 @@ def observable_sweep(
     ]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = list(pool.map(_sweep_point, jobs))
-        results = list(futures)
-    else:
-        results = []
-        for job in jobs:
-            try:
-                results.append(_sweep_point(job))
-            except ConvergenceError as exc:
-                raise ConvergenceError(
-                    f"sweep point N={job[0]} failed: {exc}",
-                    residual=exc.residual,
-                    history=exc.history,
-                ) from exc
-    return results
+            return list(pool.map(_sweep_point, jobs))
+    return [_sweep_point(job) for job in jobs]
 
 
 def energy_deviation_series(

@@ -8,9 +8,13 @@ Layout under the store root (CLI --out-dir, else $DICKE_ED_RESULTS, else
     <command>-<digest>*.csv   the run outputs; never overwritten
     <digest>.config.json      the exact configuration, re-executable
 
-A run whose config digest already appears in the manifest (with its files
-still present) is a cache hit; callers re-emit the stored primary file so
-repeated identical invocations produce identical output.
+A run whose config digest already appears in the manifest, recorded by the
+same package version and CSV schema, with its files still present, is a cache
+hit; callers re-emit the stored primary file so repeated identical
+invocations produce identical output.  Entries recorded by other code are
+ignored, so a hit never re-emits bytes another version computed.  Outputs are
+written to a temporary file and renamed into place, so an interrupted run
+leaves no partial CSV behind.
 """
 
 import functools
@@ -75,12 +79,16 @@ class ResultStore:
         return out
 
     def lookup(self, digest: str) -> dict | None:
-        """Most recent manifest entry for this digest whose files all exist."""
+        """Most recent manifest entry for this digest, recorded by this version
+        and CSV schema, whose files all exist."""
+        version = describe_version()
         hit = None
         for entry in self.entries():
-            if entry.get("digest") == digest:
-                if all((self.root / f).exists() for f in entry.get("files", [])):
-                    hit = entry
+            if (entry.get("digest") == digest
+                    and entry.get("version") == version
+                    and entry.get("schema") == CSV_SCHEMA_VERSION
+                    and all((self.root / f).exists() for f in entry.get("files", []))):
+                hit = entry
         return hit
 
     def record(self, digest: str, command: str, files: list[str],
@@ -103,11 +111,17 @@ class ResultStore:
         return entry
 
     def write_text(self, name: str, text: str) -> Path:
-        """Write a run output; refuses to clobber differing content."""
+        """Write a run output atomically; refuses to clobber differing content."""
         path = self.root / name
         if path.exists() and path.read_text() != text:
             raise FileExistsError(f"refusing to overwrite {path} with different content")
-        path.write_text(text)
+        tmp = path.with_name(f".{name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(text)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         return path
 
     def read_text(self, name: str) -> str:

@@ -8,11 +8,14 @@ package is a genuine cross-check, not a tautology.
 
 import math
 from decimal import Decimal, getcontext
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import eigh, expm
 from scipy.optimize import minimize
+
+from dicke_ed.dcs_basis import _RESCALE_HI, _RESCALE_LO, OverlapKernel
 
 
 def spin_matrices(n_atoms: int):
@@ -144,6 +147,144 @@ def displaced_truncated_ground(n_atoms, omega, delta, lam, n_tr, cutoff):
     p_vals, p_vecs = eigh(V.T @ kron_parity(n_atoms, cutoff) @ V)
     W = V @ p_vecs[:, p_vals > 0.0]
     return float(eigh(W.T @ H @ W, subset_by_index=(0, 0), eigvals_only=True)[0])
+
+
+def _laguerre_scaled(n: int, a: int, x: float) -> tuple[float, float]:
+    """Associated Laguerre L_n^(a)(x) as (mantissa, log_scale).
+
+    The value is mantissa * exp(log_scale); the split keeps the recurrence
+    in range for degrees and orders far beyond double-precision overflow.
+    """
+    if n == 0:
+        return 1.0, 0.0
+    prev = 1.0
+    cur = 1.0 + a - x
+    log_scale = 0.0
+    for i in range(1, n):
+        nxt = ((2 * i + 1 + a - x) * cur - (i + a) * prev) / (i + 1)
+        prev, cur = cur, nxt
+        mag = max(abs(prev), abs(cur))
+        if mag > _RESCALE_HI or (0.0 < mag < _RESCALE_LO):
+            prev /= mag
+            cur /= mag
+            log_scale += math.log(mag)
+    return cur, log_scale
+
+
+def displaced_overlap(l: int, k: int, delta: float) -> float:
+    """Matrix element <l| exp(delta*(adag - a)) |k> for real delta, one at a time.
+
+    The scalar form of the package's vectorized Laguerre recurrence
+    (``dicke_ed.dcs_basis``): the closed form for l >= k and the symmetry
+    <l|D(delta)|k> = (-1)^(l-k) <k|D(delta)|l> otherwise.
+    """
+    if l < 0 or k < 0:
+        raise ValueError("Fock indices must be non-negative")
+    if delta == 0.0:
+        return 1.0 if l == k else 0.0
+    if l < k:
+        sign = -1.0 if (k - l) % 2 else 1.0
+        return sign * displaced_overlap(k, l, delta)
+    d = l - k
+    x = delta * delta
+    mant, log_scale = _laguerre_scaled(k, d, x)
+    log_pref = (
+        0.5 * (math.lgamma(k + 1) - math.lgamma(l + 1))
+        + d * math.log(abs(delta))
+        - 0.5 * x
+    )
+    sign = -1.0 if (delta < 0.0 and d % 2) else 1.0
+    if mant == 0.0:
+        return 0.0
+    if mant < 0.0:
+        sign, mant = -sign, -mant
+    log_total = log_pref + log_scale + math.log(mant)
+    if log_total < -745.0:
+        # true overlap underflows to zero
+        return 0.0
+    return sign * math.exp(log_total)
+
+
+def scalar_kernel_table(g: float, n_tr: int) -> np.ndarray:
+    """The alternating table B_{l,k}(g), one ``displaced_overlap`` call per entry."""
+    size = n_tr + 1
+    table = np.empty((size, size))
+    for l in range(size):
+        for k in range(l + 1):
+            sign = -1.0 if k % 2 else 1.0
+            val = sign * displaced_overlap(l, k, g)
+            table[l, k] = val
+            table[k, l] = val
+    return table
+
+
+def displacement_table(delta: float, n_tr: int) -> OverlapKernel:
+    """Signed physical table <l|D(delta)|k> for l, k = 0..n_tr."""
+    if n_tr < 0:
+        raise ValueError(f"n_tr must be >= 0, got {n_tr}")
+    size = n_tr + 1
+    table = np.array([[displaced_overlap(l, k, delta) for k in range(size)]
+                      for l in range(size)])
+    return OverlapKernel(delta=delta, table=table, kind="displacement")
+
+
+def unitarity_defect(kernel: OverlapKernel) -> float:
+    """Worst deviation of a lower-half row from unit norm.
+
+    The exact (untruncated) tables are isometries, so row norms equal 1;
+    truncation chops the tail, hitting high rows first.  A small defect over
+    rows l <= n_tr/2 certifies the truncated table acts like an isometry on
+    the half of the space the physics lives in.
+    """
+    rows = kernel.n_tr // 2 + 1
+    sums = np.sum(kernel.table[:rows, :] ** 2, axis=1)
+    return float(np.max(np.abs(1.0 - sums)))
+
+
+def overlap_sum_term(l: int, k: int, g: float) -> float:
+    """Alternating-sum evaluation of B_{l,k}(g) with exact-integer factorial ratios.
+
+    Accurate only while the largest summand stays within a few orders of
+    magnitude of the result; cross-checks the Laguerre route inside that
+    window.
+    """
+    if g == 0.0:
+        if l == k:
+            return -1.0 if l % 2 else 1.0
+        return 0.0
+    lk_fact = math.factorial(l) * math.factorial(k)
+    terms = []
+    for r in range(min(l, k) + 1):
+        denom = (
+            math.factorial(l - r) * math.factorial(k - r) * math.factorial(r)
+        )
+        ratio = math.sqrt(float(Fraction(lk_fact, denom * denom)))
+        term = ratio * g ** (l + k - 2 * r)
+        terms.append(-term if r % 2 else term)
+    return math.exp(-0.5 * g * g) * math.fsum(terms)
+
+
+def to_bare_table(gs, params, cutoff: int) -> np.ndarray:
+    """Coefficients of a displaced-basis state in the bare Fock basis.
+
+    Returns an (N+1, cutoff+1) table b[n, l].  The assembled eigenvectors
+    carry the alternating-sign gauge of the dressed kernels, so the physical
+    amplitude on |l>_bare (x) |j,n> is sum_k (-1)^k c[n,k] <l|D(-g_n)|k>.
+    """
+    if gs.basis != "dcs":
+        raise ValueError("to_bare_table applies to displaced-basis states")
+    C = gs.table
+    n_vals = params.sector_values()
+    K = gs.n_tr + 1
+    ksigns = np.where(np.arange(K) % 2, -1.0, 1.0)
+    out = np.empty((C.shape[0], cutoff + 1))
+    for i, n in enumerate(n_vals):
+        g = params.g(n)
+        T = np.array(
+            [[displaced_overlap(l, k, -g) for k in range(K)] for l in range(cutoff + 1)]
+        )
+        out[i] = T @ (ksigns * C[i])
+    return out
 
 
 def kernel_decimal(g: str, l: int, k: int, prec: int = 220) -> Decimal:

@@ -35,9 +35,9 @@ from dicke_ed.scaling import (
     fit_concurrence_limit,
     observable_sweep,
 )
-from dicke_ed.dcs_basis import displaced_overlap, overlap_kernel, unitarity_defect
+from dicke_ed.dcs_basis import overlap_kernel
 
-from oracles import kron_rotated
+from oracles import displaced_overlap, kron_rotated, unitarity_defect
 
 
 def report(tag: str, ok: bool, desc: str, detail: str = ""):

@@ -3,15 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from dicke_ed.dcs_basis import (
+from dicke_ed.dcs_basis import overlap_kernel
+
+from oracles import (
+    _laguerre_scaled,
     displaced_overlap,
+    displacement_expm,
     displacement_table,
-    overlap_kernel,
+    kernel_decimal,
     overlap_sum_term,
+    scalar_kernel_table,
     unitarity_defect,
 )
-
-from oracles import displacement_expm, kernel_decimal
 
 
 class TestTableValues:
@@ -180,3 +183,34 @@ class TestUnitarityDefect:
 
     def test_undertruncated(self):
         assert unitarity_defect(overlap_kernel(3.0, 4)) > 0.5
+
+
+class TestVectorizedBuilder:
+    """The one-pass table builder against the entry-by-entry scalar route."""
+
+    @pytest.mark.parametrize("n_tr", [0, 1, 4, 7, 64, 129, 160, 193])
+    @pytest.mark.parametrize("g", [0.0, 0.03125, 0.3953, 1.58, 5.0, 12.0, 45.0, 60.0])
+    def test_bit_identical_to_scalar_route(self, g, n_tr):
+        table = overlap_kernel(g, n_tr).table
+        ref = scalar_kernel_table(g, n_tr)
+        assert np.array_equal(table, ref)
+        assert np.array_equal(np.signbit(table), np.signbit(ref))
+
+    @pytest.mark.parametrize("g,n_tr", [(60.0, 160), (45.0, 193)])
+    def test_rescale_branch_exercised(self, g, n_tr):
+        rescaled = [(l, k) for l in range(n_tr + 1) for k in range(l + 1)
+                    if _laguerre_scaled(k, l - k, g * g)[1] != 0.0]
+        assert rescaled
+        table = overlap_kernel(g, n_tr).table
+        assert np.all(np.isfinite(table))
+        if g == 45.0:
+            # here the renormalized entries survive into the table
+            assert all(table[l, k] != 0.0 for l, k in rescaled)
+
+    def test_underflow_branch_exercised(self):
+        g, n_tr = 45.0, 129
+        table = overlap_kernel(g, n_tr).table
+        underflowed = [(l, k) for l in range(n_tr + 1) for k in range(l + 1)
+                       if table[l, k] == 0.0 and _laguerre_scaled(k, l - k, g * g)[0] != 0.0]
+        assert len(underflowed) > 1000
+        assert np.count_nonzero(table) > 0

@@ -14,11 +14,10 @@ from dicke_ed.observables import (
     magnetization_x,
     result_row,
     spin_expectations,
-    to_bare_table,
     CSV_COLUMNS,
 )
 
-from oracles import oracle_moments
+from oracles import oracle_moments, to_bare_table
 
 
 def solve_even(params, n_tr, basis="dcs"):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dicke_ed.errors import FitError
+from dicke_ed.errors import ConvergenceError, FitError
 from dicke_ed.model import critical_coupling
 from dicke_ed.scaling import (
     ScalingSeries,
@@ -161,6 +161,13 @@ class TestPhysicalSeries:
         a = observable_sweep(1.0, (16, 32), threshold=1e-8, seed=1)
         b = observable_sweep(1.0, (16, 32), threshold=1e-8, seed=1)
         assert a == b
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_point_names_its_size(self, workers):
+        with pytest.raises(ConvergenceError, match=r"sweep point N=16 failed") as info:
+            observable_sweep(1.0, (16, 32), threshold=1e-8, schedule=(4,),
+                             workers=workers)
+        assert info.value.history
 
     def test_parallel_sweep_matches_serial(self):
         serial = observable_sweep(1.0, (16, 32, 64), threshold=1e-8)
