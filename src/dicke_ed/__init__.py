@@ -3,7 +3,7 @@ basis, with a bare-Fock baseline and finite-size scaling extraction."""
 
 __version__ = "0.1.0"
 
-from .model import ModelParams, SectorIndex, critical_coupling, ladder_coeff
+from .model import ModelParams, critical_coupling, ladder_coeff
 from .dcs_basis import OverlapKernel, overlap_kernel
 from .hamiltonian import (
     BlockHamiltonian,
@@ -33,7 +33,7 @@ from .scaling import (
 )
 
 __all__ = [
-    "ModelParams", "SectorIndex", "critical_coupling", "ladder_coeff",
+    "ModelParams", "critical_coupling", "ladder_coeff",
     "OverlapKernel", "overlap_kernel",
     "BlockHamiltonian", "ParityOperator", "ProjectedHamiltonian",
     "assemble_dcs", "assemble_dfs", "parity_operator", "project_parity",

@@ -6,7 +6,8 @@ significant digits) and are persisted through :class:`ResultStore` with
 config-digest deduplication: re-running an identical configuration is a cache
 hit that re-emits the stored bytes.
 
-Exit codes: 0 success, 2 configuration error, 3 solver/fit failure,
+Exit codes: 0 success, 2 configuration error (including a result store or
+output path that cannot be read or written), 3 solver/fit failure,
 4 dimension cap exceeded.
 """
 
@@ -285,13 +286,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(store: ResultStore, cfg: RunConfig, files: dict, wall_s: float,
-          primary: str) -> None:
-    """Persist output files + manifest entry, then print the primary file."""
-    for name, text in files.items():
-        store.write_text(name, text)
-    store.record(cfg.digest, cfg.command, list(files), wall_s, cfg.as_dict())
-    sys.stdout.write(files[primary])
+def _emit(store: ResultStore, cfg: RunConfig, files: dict, wall_s: float) -> None:
+    """Persist output files + manifest entry, then print the primary file.
+
+    ``files`` maps file-name suffixes to contents, the primary file first.
+    """
+    stem = store.output_stem(cfg.command, cfg.digest)
+    for suffix, text in files.items():
+        store.write_text(stem + suffix, text)
+    store.record(cfg.digest, cfg.command, [stem + suffix for suffix in files],
+                 wall_s, cfg.as_dict())
+    sys.stdout.write(next(iter(files.values())))
 
 
 def _cache_hit(store: ResultStore, cfg: RunConfig) -> bool:
@@ -333,8 +338,7 @@ def cmd_solve(args) -> int:
         h = assemble_dcs(params, res.n_tr_used, max_dim=args.max_dim)
         with open(args.dump_matrix, "w") as fh:
             dump_coo(h, fh)
-    _emit(store, cfg, {f"solve-{cfg.digest}.csv": text}, time.monotonic() - t0,
-          f"solve-{cfg.digest}.csv")
+    _emit(store, cfg, {".csv": text}, time.monotonic() - t0)
     return 0
 
 
@@ -387,8 +391,7 @@ def cmd_compare(args) -> int:
     rows = _run_jobs(_compare_cell, jobs, args.workers)
     columns = ("lambda", "basis", "n_tr", "E0", "E0_scaled", "status")
     text = csv_text(columns, rows)
-    _emit(store, cfg, {f"compare-{cfg.digest}.csv": text}, time.monotonic() - t0,
-          f"compare-{cfg.digest}.csv")
+    _emit(store, cfg, {".csv": text}, time.monotonic() - t0)
     return 0
 
 
@@ -445,8 +448,7 @@ def cmd_converge(args) -> int:
                 "E0": res.values["e0"],
             })
         text = csv_text(("N", "lambda", "ntr_used", "E0"), rows)
-        _emit(store, cfg, {f"converge-{cfg.digest}.csv": text},
-              time.monotonic() - t0, f"converge-{cfg.digest}.csv")
+        _emit(store, cfg, {".csv": text}, time.monotonic() - t0)
         used = [r["ntr_used"] for r in rows]
         mono = all(b <= a for a, b in zip(used, used[1:]))
         sys.stderr.write(f"required n_tr {used} non-increasing: {mono}\n")
@@ -478,8 +480,7 @@ def cmd_converge(args) -> int:
     nested = _run_jobs(_converge_lambda_point, jobs, args.workers)
     rows = [row for group in nested for row in group]
     text = csv_text(("lambda", "n_tr", "E0", "E0_ref", "rel_dev"), rows)
-    _emit(store, cfg, {f"converge-{cfg.digest}.csv": text},
-          time.monotonic() - t0, f"converge-{cfg.digest}.csv")
+    _emit(store, cfg, {".csv": text}, time.monotonic() - t0)
     lam_c = critical_coupling(params.omega, params.delta)
     for n_tr in ntr_list:
         sub = [r for r in rows if r["n_tr"] == n_tr]
@@ -555,14 +556,13 @@ def cmd_scaling(args) -> int:
             f"+- {fit.uncertainty:.4f} (correction_power={fit.correction_power:.2f},"
             f" power_law={fit.power_law_ok}){extra}"
         )
-    base = f"scaling-{cfg.digest}"
     files = {
-        f"{base}-series.csv": csv_text(
+        "-series.csv": csv_text(
             ("observable", "D", "lambda", "N", "value", "ntr_used"), series_rows),
-        f"{base}-slopes.csv": csv_text(
+        "-slopes.csv": csv_text(
             ("observable", "D", "inv_n_mid", "slope"), slope_rows),
     }
-    _emit(store, cfg, files, time.monotonic() - t0, f"{base}-series.csv")
+    _emit(store, cfg, files, time.monotonic() - t0)
     for line in summaries:
         sys.stderr.write(line + "\n")
     return 0
@@ -597,6 +597,9 @@ def main(argv=None) -> int:
     except DimensionCapError as exc:
         sys.stderr.write(f"resource cap: {exc}\n")
         return 4
+    except OSError as exc:
+        sys.stderr.write(f"i/o error: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

@@ -35,7 +35,8 @@ class GroundState:
     inside a parity sector are expanded before being stored here, and
     ``sector`` records where the solve happened.  ``iterations`` counts
     inverse-iteration steps.  The sector's lowest eigenvalue is proven to lie
-    in [``lower_bound``, ``energy``]; the dense oracle has no lower bound.
+    in [``lower_bound``, ``energy``]; ``bandwidth`` is the lower bandwidth of
+    the band that was factored.  The dense oracle has neither.
     """
 
     energy: float
@@ -49,6 +50,7 @@ class GroundState:
     n_atoms: int | None = None
     factorizations: int = 0
     lower_bound: float | None = None
+    bandwidth: int | None = None
 
     @property
     def table(self) -> np.ndarray:
@@ -106,7 +108,8 @@ def _rayleigh(h, x: np.ndarray) -> tuple[float, float]:
 
 
 def _certified_lowest(h, tol: float, seed: int, v0: np.ndarray | None):
-    """Returns (x, theta, residual, lower_bound, steps, factorizations)."""
+    """Returns (x, theta, residual, lower_bound, steps, test); ``test`` holds
+    the factorization count and the band."""
     test = ShiftTest(h.band())
     if v0 is None or not np.any(v0):
         v0 = np.random.default_rng(seed).standard_normal(h.dim)
@@ -125,7 +128,7 @@ def _certified_lowest(h, tol: float, seed: int, v0: np.ndarray | None):
                     f"eigenvalue {theta:.12g} (residual {r:.3e}) is not the lowest: "
                     f"the spectrum reaches below {sigma:.12g}", residual=r)
             # the certified shift is the closest yet: one more cheap step
-            return (*test.step(h, x), sigma, steps + 1, test.count)
+            return (*test.step(h, x), sigma, steps + 1, test)
         # raise the shift to the Rayleigh estimate or else the midpoint of
         # [lo, hi], whichever is first proven below E0; else refactor at lo
         for trial in (sigma, 0.5 * (lo + hi)):
@@ -160,10 +163,11 @@ def ground_state(h, tol: float = 1e-10, seed: int = 0, dense: bool = False,
         raise ValueError("tol must be positive")
     if dense:
         vals, vecs = eigh(h.to_dense(), subset_by_index=(0, 0))
-        energy, vec, steps, count, bound = vals[0], vecs[:, 0], 0, 0, None
+        energy, vec, steps, count, bound, width = vals[0], vecs[:, 0], 0, 0, None, None
         resid = float(np.linalg.norm(h.matvec(vec) - energy * vec))
     else:
-        vec, energy, resid, bound, steps, count = _certified_lowest(h, tol, seed, v0)
+        vec, energy, resid, bound, steps, test = _certified_lowest(h, tol, seed, v0)
+        count, width = test.count, test.ab.shape[0] - 1
     full_vec = h.expand(vec) if hasattr(h, "expand") else vec
     return GroundState(
         energy=float(energy),
@@ -177,4 +181,5 @@ def ground_state(h, tol: float = 1e-10, seed: int = 0, dense: bool = False,
         n_atoms=h.params.n_atoms,
         factorizations=count,
         lower_bound=bound,
+        bandwidth=width,
     )

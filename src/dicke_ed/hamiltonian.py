@@ -1,7 +1,8 @@
 """Assembly of the real symmetric eigenproblem and the parity machinery.
 
-Working basis: |k>_n (x) |j, n>, sector-major flat layout (see SectorIndex).
-Two assemblies share one block structure over the sector index:
+Working basis: |k>_n (x) |j, n>, sector-major flat layout: flat index
+(n + j)*(n_tr + 1) + k.  Two assemblies share one block structure over the
+sector index:
 
 - displaced basis ("dcs"): each sector carries its own displaced oscillator;
   diagonal omega*(l - g_n^2), off-diagonal blocks -delta * j_n^(+-) times the
@@ -14,6 +15,15 @@ Two assemblies share one block structure over the sector index:
 The solver and the dense views read both matrices, and their parity
 projections, in LAPACK lower band storage (``band()``); matvec serves the
 residuals.
+
+A parity sector has two coordinate orders.  Sector-major (the centre states,
+then each kept sector's K = n_tr + 1 boson states) suits the displaced basis,
+whose dense K x K kernel blocks reach 2K - 1 below the diagonal, and puts the
+bare basis's spin coupling K below it.  Boson-major (one layer per boson
+number k: the centre state if kept, then the kept sectors) puts the bare
+basis's spin coupling next to the diagonal and its boson hopping one layer,
+S' = (kept sectors per layer) rows, below it.  A bare-basis sector uses
+boson-major order whenever S' < K; everything else is sector-major.
 
 Both matrices commute with the parity operator, which acts on the working
 basis as (n, k) -> (-n, k) with amplitude (-1)^k.  The spin part of the
@@ -261,6 +271,15 @@ class ProjectedHamiltonian:
     n = 0 sector (even atom number only) the bare states whose (-1)^k matches
     the sector sign.  Matvec round-trips through the full operator, which is
     exact because the full matrix commutes with the parity.
+
+    Coordinates are sector-major (the kept centre states, then the upper
+    sectors, K = n_tr + 1 states each) unless ``boson_major``: a bare-basis
+    sector whose layer width S' (upper sectors, plus one with a centre) is
+    below K orders them by boson number k, each layer holding the centre
+    state when (-1)^k matches the sector sign, then the upper sectors.  Its
+    spin coupling then lies on band row 1 and its hopping on row S' or
+    S' - 1, so the band is S' wide instead of K.  ``expand``, ``restrict``,
+    ``matvec`` and ``band`` all use the chosen order.
     """
 
     def __init__(self, full: BlockHamiltonian, sector: str):
@@ -279,8 +298,18 @@ class ProjectedHamiltonian:
             self._center_keep = np.nonzero(k_parity == want)[0]
         else:
             self._center_keep = np.empty(0, dtype=int)
-        self.dim = len(self._upper) * K + len(self._center_keep)
+        nc, m = len(self._center_keep), len(self._upper)
+        self.dim = m * K + nc
         self._ksigns = np.where(np.arange(K) % 2, -1.0, 1.0)
+        self._layer = m + int(self._has_center)
+        self.boson_major = full.basis == "dfs" and self._layer < K
+        self._order = None
+        if self.boson_major:
+            # sector-major index of each boson-major coordinate, layer by layer
+            idx = np.full((K, m + 1), -1)
+            idx[self._center_keep, 0] = np.arange(nc)
+            idx[:, 1:] = nc + np.arange(m) * K + np.arange(K)[:, np.newaxis]
+            self._order = idx[idx >= 0]
 
     @property
     def params(self):
@@ -294,9 +323,18 @@ class ProjectedHamiltonian:
     def n_tr(self):
         return self.full.n_tr
 
+    @property
+    def bandwidth(self) -> int:
+        """Lower bandwidth of ``band()``."""
+        return self._layer if self.boson_major else self.full.bandwidth
+
     def expand(self, u: np.ndarray) -> np.ndarray:
         """Isometry from sector coordinates to the full flat basis."""
         S, K = self.full.s_dim, self.full.k_dim
+        if self._order is not None:
+            v = np.empty(self.dim)
+            v[self._order] = u
+            u = v
         i0 = self._upper[0]
         X = np.empty((S, K))
         nc = len(self._center_keep)
@@ -314,9 +352,10 @@ class ProjectedHamiltonian:
         i0 = self._upper[0]
         X = x.reshape(S, K)
         upper = (X[i0:] + self.sign * self._ksigns * X[: S - i0][::-1]) / math.sqrt(2.0)
+        u = upper.ravel()
         if self._has_center:
-            return np.concatenate([X[self._center, self._center_keep], upper.ravel()])
-        return upper.ravel()
+            u = np.concatenate([X[self._center, self._center_keep], u])
+        return u if self._order is None else u[self._order]
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
         return self.restrict(self.full.matvec(self.expand(u)))
@@ -329,6 +368,8 @@ class ProjectedHamiltonian:
         weight sqrt(2); without one the mirror coupling folds into the first
         kept diagonal block as sign * B^T * (-1)^k'.
         """
+        if self.boson_major:
+            return self._boson_major_band()
         full = self.full
         K, nc, i0 = full.k_dim, len(self._center_keep), self._upper[0]
         ab = np.zeros((full.bandwidth + 1, self.dim), order="F")
@@ -347,6 +388,29 @@ class ProjectedHamiltonian:
                 ab[: K - b, b] += fold[b:, b]
         return ab
 
+    def _boson_major_band(self) -> np.ndarray:
+        """The bare-basis band in boson-major order, written entry by entry
+        with the same values as the sector-major one."""
+        full = self.full
+        K, nc, i0 = full.k_dim, len(self._center_keep), self._upper[0]
+        pos = np.empty(self.dim, dtype=int)
+        pos[self._order] = np.arange(self.dim)
+        P = pos[nc:].reshape(-1, K).T  # P[k, t]: sector i0 + t, boson number k
+        ab = np.zeros((self.bandwidth + 1, self.dim), order="F")
+        ab[0, P] = full.diag[i0:].T
+        ab[1, P[:, :-1]] = full.spin_coup[i0:]
+        # the same sector one layer up sits a layer width (S' or S' - 1) later
+        step = P.shape[1] + np.isin(np.arange(1, K), self._center_keep)
+        ab[step[:, np.newaxis], P[:-1]] = full.boson_amp[i0:] * np.sqrt(
+            np.arange(1, K))[:, np.newaxis]
+        if self._has_center:
+            # the centre's own hopping amplitude is omega * g_0 = 0
+            ab[0, pos[:nc]] = full.diag[self._center, self._center_keep]
+            ab[1, pos[:nc]] = math.sqrt(2.0) * full.spin_coup[self._center]
+        else:
+            ab[0, P[:, 0]] += self.sign * full.spin_coup[i0 - 1] * self._ksigns
+        return ab
+
     def to_dense(self) -> np.ndarray:
         return _band_to_dense(self.band())
 
@@ -360,7 +424,7 @@ def project_parity(h: BlockHamiltonian, sector: str) -> ProjectedHamiltonian:
 
 
 def dump_coo(h: BlockHamiltonian, fileobj) -> int:
-    """Write the matrix as `row col value` lines (flat SectorIndex order).
+    """Write the matrix as `row col value` lines (flat sector-major order).
 
     Returns the number of lines written.  Debug aid; both triangles emitted.
     """

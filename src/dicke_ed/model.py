@@ -23,7 +23,6 @@ from .errors import ConfigError
 
 __all__ = [
     "ModelParams",
-    "SectorIndex",
     "ladder_coeff",
     "critical_coupling",
     "params_from_mapping",
@@ -118,35 +117,6 @@ class ModelParams:
 
     def with_atoms(self, n_atoms: int) -> "ModelParams":
         return ModelParams(n_atoms, self.omega, self.delta, self.lam)
-
-
-@dataclass(frozen=True)
-class SectorIndex:
-    """Position in the working basis: J_z eigenvalue n and boson occupation k.
-
-    The flat index is sector-major: flat = (n + j)*(n_tr + 1) + k, a bijection
-    onto 0..(N+1)(n_tr+1)-1.
-    """
-
-    n: float
-    k: int
-
-    def flat(self, j: float, n_tr: int) -> int:
-        i = self.n + j
-        i_int = int(round(i))
-        if abs(i - i_int) > 1e-9 or not (0 <= i_int <= int(round(2 * j))):
-            raise ValueError(f"n = {self.n} is not a valid J_z eigenvalue for j = {j}")
-        if not (0 <= self.k <= n_tr):
-            raise ValueError(f"k = {self.k} outside 0..{n_tr}")
-        return i_int * (n_tr + 1) + self.k
-
-    @classmethod
-    def from_flat(cls, flat: int, j: float, n_tr: int) -> "SectorIndex":
-        width = n_tr + 1
-        i, k = divmod(flat, width)
-        if not (0 <= i <= int(round(2 * j))):
-            raise ValueError(f"flat index {flat} out of range")
-        return cls(n=i - j, k=k)
 
 
 _CONFIG_KEYS = {"n_atoms", "omega", "delta", "lambda", "alpha"}

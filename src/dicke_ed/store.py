@@ -5,7 +5,9 @@ Layout under the store root (CLI --out-dir, else $DICKE_ED_RESULTS, else
 
     manifest.jsonl        one JSON line per run: digest, command, timestamp,
                           version, schema, file list, wall seconds, config
-    <command>-<digest>*.csv   the run outputs; never overwritten
+    <command>-<digest>-<tag>*.csv  the run outputs; never overwritten.  The
+                          tag digests the version and CSV schema, so another
+                          version's outputs never share a name with this one's
     <digest>.config.json      the exact configuration, re-executable
 
 A run whose config digest already appears in the manifest, recorded by the
@@ -109,6 +111,11 @@ class ResultStore:
         with open(self.manifest, "a") as fh:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
         return entry
+
+    def output_stem(self, command: str, digest: str) -> str:
+        """File-name stem of a run's outputs, specific to this code version."""
+        tag = config_digest({"version": describe_version(), "schema": CSV_SCHEMA_VERSION})
+        return f"{command}-{digest}-{tag[:8]}"
 
     def write_text(self, name: str, text: str) -> Path:
         """Write a run output atomically; refuses to clobber differing content."""

@@ -7,6 +7,7 @@ package is a genuine cross-check, not a tautology.
 """
 
 import math
+from dataclasses import dataclass
 from decimal import Decimal, getcontext
 from fractions import Fraction
 from types import SimpleNamespace
@@ -347,3 +348,32 @@ def meanfield_critical_coupling(omega, delta, n_atoms=64, tol=1e-4) -> float:
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+@dataclass(frozen=True)
+class SectorIndex:
+    """Position in the working basis: J_z eigenvalue n and boson occupation k.
+
+    The flat index is sector-major: flat = (n + j)*(n_tr + 1) + k, a bijection
+    onto 0..(N+1)(n_tr+1)-1.
+    """
+
+    n: float
+    k: int
+
+    def flat(self, j: float, n_tr: int) -> int:
+        i = self.n + j
+        i_int = int(round(i))
+        if abs(i - i_int) > 1e-9 or not (0 <= i_int <= int(round(2 * j))):
+            raise ValueError(f"n = {self.n} is not a valid J_z eigenvalue for j = {j}")
+        if not (0 <= self.k <= n_tr):
+            raise ValueError(f"k = {self.k} outside 0..{n_tr}")
+        return i_int * (n_tr + 1) + self.k
+
+    @classmethod
+    def from_flat(cls, flat: int, j: float, n_tr: int) -> "SectorIndex":
+        width = n_tr + 1
+        i, k = divmod(flat, width)
+        if not (0 <= i <= int(round(2 * j))):
+            raise ValueError(f"flat index {flat} out of range")
+        return cls(n=i - j, k=k)

@@ -6,17 +6,23 @@ from scipy.linalg import eigh
 
 from dicke_ed.errors import ConvergenceError
 from dicke_ed.eigen import ShiftTest, ground_state
-from dicke_ed.hamiltonian import assemble_dcs, assemble_dfs, project_parity
+from dicke_ed.hamiltonian import (
+    assemble_dcs,
+    assemble_dfs,
+    parity_operator,
+    project_parity,
+)
 from dicke_ed.model import ModelParams, critical_coupling
 
 from oracles import lowest_pair
 
+LAMBDAS = (0.0, 0.3, 0.5, 1.0, 2.0)
+SECTORS = ("even", "odd", "full")
+# dfs:20 is boson-major in a parity sector for N <= 32; dfs:4 at N = 32 is not
 CERT_GRID = list(itertools.product(
-    (1, 2, 3, 5, 8, 13, 32),
-    (0.0, 0.3, 0.5, 1.0, 2.0),
-    (("dcs", 4), ("dcs", 7), ("dfs", 20)),
-    ("even", "odd", "full"),
-))
+    (1, 2, 3, 5, 8, 13, 32), LAMBDAS,
+    (("dcs", 4), ("dcs", 7), ("dfs", 20)), SECTORS,
+)) + list(itertools.product((32,), LAMBDAS, (("dfs", 4),), SECTORS))
 
 
 def sector_matrix(n_atoms, lam, basis, n_tr, sector):
@@ -78,6 +84,29 @@ class TestGroundState:
         warm = ground_state(h, v0=v0)
         assert warm.energy == pytest.approx(cold.energy, abs=1e-9)
         assert warm.iterations <= cold.iterations
+
+    def test_reports_factored_bandwidth(self):
+        """The N = 32 bare sector at cutoff 100 factors a band S' = 17 wide;
+        in sector-major order it would be n_tr + 1 = 101."""
+        h = project_parity(assemble_dfs(ModelParams(32, 1.0, 1.0, 0.5), 100), "even")
+        assert ground_state(h).bandwidth <= 18
+        small = project_parity(assemble_dfs(ModelParams(32, 1.0, 1.0, 0.5), 4), "even")
+        assert ground_state(small).bandwidth == 5
+        assert ground_state(small, dense=True).bandwidth is None
+
+    @pytest.mark.parametrize("n_atoms,n_tr", [(5, 20), (6, 20), (8, 30), (32, 4)])
+    def test_projected_bare_vector_matches_full_oracle(self, n_atoms, n_tr):
+        """The expanded sector vector is the lowest parity eigenvector of the
+        unprojected sector-major matrix, in both coordinate orders."""
+        full = assemble_dfs(ModelParams(n_atoms, 1.0, 1.0, 0.7), n_tr)
+        vals, vecs = eigh(full.to_dense())
+        parity = np.einsum("ij,ij->j", vecs, parity_operator(n_atoms, n_tr).to_dense() @ vecs)
+        for sector, sign in (("even", 1.0), ("odd", -1.0)):
+            oracle = vecs[:, np.argmax(np.abs(parity - sign) < 1e-6)]
+            h = project_parity(full, sector)
+            for gs in (ground_state(h), ground_state(h, dense=True)):
+                assert min(np.max(np.abs(gs.vector - oracle)),
+                           np.max(np.abs(gs.vector + oracle))) < 1e-7
 
     def test_bad_tolerance(self):
         op = assemble_dcs(ModelParams(3, 1.0, 1.0, 0.5), 2)

@@ -220,18 +220,28 @@ class TestParity:
             assert np.linalg.norm(x) == pytest.approx(np.linalg.norm(u), rel=1e-13)
             assert np.allclose(hp.restrict(x), u, atol=1e-13)
 
-    @pytest.mark.parametrize("n_atoms", [1, 2, 5, 6])
+    @pytest.mark.parametrize("n_atoms", [1, 2, 5, 6, 31, 32])
     def test_projected_band_matches_matvec(self, n_atoms):
         """The band (centre coupling for even N, fold for odd N) equals the
-        matrix of the expand/restrict round trip, column by column."""
+        matrix of the expand/restrict round trip, column by column.  The bare
+        basis is checked on both sides of the switch to boson-major order,
+        which it takes when the layer width S' (kept sectors, plus the centre)
+        is below K = n_tr + 1, with a band S' wide."""
         p = ModelParams(n_atoms, 1.0, 0.8, 0.9)
-        for assemble in (assemble_dcs, assemble_dfs):
-            for n_tr in (0, 3, 6):
-                for sector in ("even", "odd"):
-                    hp = project_parity(assemble(p, n_tr), sector)
-                    cols = np.column_stack([hp.matvec(e) for e in np.eye(hp.dim)])
-                    assert hp.band().flags.f_contiguous
-                    assert np.max(np.abs(hp.to_dense() - cols)) < 1e-12
+        layer = (n_atoms + 1) // 2 + (n_atoms + 1) % 2
+        cases = [(assemble_dcs, n_tr) for n_tr in (0, 3, 6)]
+        cases += [(assemble_dfs, n_tr) for n_tr in (0, 3, 4, 6, 20, 60)]
+        for assemble, n_tr in cases:
+            for sector in ("even", "odd"):
+                hp = project_parity(assemble(p, n_tr), sector)
+                cols = np.column_stack([hp.matvec(e) for e in np.eye(hp.dim)])
+                ab = hp.band()
+                assert ab.flags.f_contiguous
+                assert np.max(np.abs(hp.to_dense() - cols)) < 1e-12
+                boson_major = assemble is assemble_dfs and layer < n_tr + 1
+                assert hp.boson_major == boson_major
+                width = layer if boson_major else hp.full.bandwidth
+                assert hp.bandwidth == ab.shape[0] - 1 == width
 
     def test_strong_coupling_doublet(self):
         p = ModelParams(8, 1.0, 1.0, 1.0)  # alpha = 4

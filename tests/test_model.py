@@ -6,13 +6,12 @@ import pytest
 from dicke_ed.errors import ConfigError
 from dicke_ed.model import (
     ModelParams,
-    SectorIndex,
     critical_coupling,
     ladder_coeff,
     params_from_mapping,
 )
 
-from oracles import meanfield_critical_coupling
+from oracles import SectorIndex, meanfield_critical_coupling
 
 
 class TestLadderCoeff:

@@ -2,7 +2,7 @@ import subprocess
 
 import pytest
 
-from dicke_ed import store
+from dicke_ed import cli, store
 from dicke_ed.cli import main
 from dicke_ed.store import ResultStore
 
@@ -65,3 +65,34 @@ def test_failed_write_leaves_no_file(tmp_path, monkeypatch, fail_at):
     with pytest.raises((UnicodeEncodeError, OSError)):
         rs.write_text("solve-x.csv", text)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_version_change_with_new_output_reruns_cold(tmp_path, monkeypatch, capsys):
+    """A rerun by other code that prints other bytes writes its own file and
+    leaves the first version's output untouched."""
+    argv = ["solve", "--n-atoms", "4", "--lambda", "0.3", "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    old_files = {p.name: p.read_text() for p in tmp_path.glob("solve-*.csv")}
+    monkeypatch.setattr(store, "describe_version", lambda: "0.0.0+gother")
+    monkeypatch.setattr(cli, "CSV_BANNER", "# dicke-ed csv v1 (other code)")
+    assert main(argv) == 0
+    rerun = capsys.readouterr()
+    assert "cache hit" not in rerun.err
+    assert rerun.out == first.replace("# dicke-ed csv v1", cli.CSV_BANNER, 1)
+    assert rerun.out != first
+    for name, text in old_files.items():
+        assert (tmp_path / name).read_text() == text
+    assert main(argv) == 0
+    hit = capsys.readouterr()
+    assert "cache hit" in hit.err and hit.out == rerun.out
+
+
+def test_unusable_out_dir_exits_2_with_context(tmp_path, capsys):
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    out_dir = blocker / "store"
+    code = main(["solve", "--n-atoms", "4", "--lambda", "0.3", "--out-dir", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "i/o error" in err and str(blocker) in err
