@@ -3,7 +3,7 @@ basis, with a bare-Fock baseline and finite-size scaling extraction."""
 
 __version__ = "0.1.0"
 
-from .model import ModelParams, critical_coupling, ladder_coeff
+from .model import ModelParams, critical_coupling
 from .dcs_basis import OverlapKernel, overlap_kernel
 from .hamiltonian import (
     BlockHamiltonian,
@@ -15,14 +15,7 @@ from .hamiltonian import (
     project_parity,
 )
 from .eigen import GroundState, ground_state
-from .observables import (
-    ConvergedResult,
-    berry_phase,
-    concurrence,
-    converge,
-    magnetization_x,
-    spin_expectations,
-)
+from .observables import ConvergedResult, converge, spin_expectations
 from .scaling import (
     ExponentFit,
     ScalingSeries,
@@ -33,13 +26,12 @@ from .scaling import (
 )
 
 __all__ = [
-    "ModelParams", "critical_coupling", "ladder_coeff",
+    "ModelParams", "critical_coupling",
     "OverlapKernel", "overlap_kernel",
     "BlockHamiltonian", "ParityOperator", "ProjectedHamiltonian",
     "assemble_dcs", "assemble_dfs", "parity_operator", "project_parity",
     "GroundState", "ground_state",
-    "ConvergedResult", "berry_phase", "concurrence", "converge",
-    "magnetization_x", "spin_expectations",
+    "ConvergedResult", "converge", "spin_expectations",
     "ExponentFit", "ScalingSeries", "berry_deviation_series",
     "concurrence_deviation_series", "energy_deviation_series",
     "extrapolate_exponent",

@@ -23,7 +23,7 @@ from .errors import ConfigError, ConvergenceError, DimensionCapError, FitError
 from .hamiltonian import assemble_dcs, assemble_dfs, dump_coo, project_parity
 from .eigen import ground_state
 from .model import ModelParams, critical_coupling, params_from_mapping
-from .observables import CSV_COLUMNS, DEFAULT_SCHEDULE, converge, result_row
+from .observables import CSV_COLUMNS, DEFAULT_SCHEDULE, OBSERVABLES, converge, result_row
 from .scaling import (
     SCALING_SCHEDULE,
     berry_deviation_series,
@@ -244,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--ntr-schedule", default=None,
                        help="comma list, default " + ",".join(map(str, DEFAULT_SCHEDULE)))
     solve.add_argument("--track", default="e0",
-                       help="comma list of observables the truncation loop must settle")
+                       help="comma list of observables the truncation loop must "
+                            "settle, from " + ", ".join(OBSERVABLES))
     solve.add_argument("--parity", choices=("even", "odd", "full"), default="even")
     solve.add_argument("--dump-matrix", default=None,
                        help="write the assembled matrix as 'row col value' lines")

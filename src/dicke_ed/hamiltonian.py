@@ -40,7 +40,7 @@ import numpy as np
 
 from .dcs_basis import overlap_kernel
 from .errors import DimensionCapError
-from .model import ModelParams, ladder_coeff
+from .model import ModelParams
 
 __all__ = [
     "BlockHamiltonian",
@@ -145,14 +145,6 @@ def _check_dim(params: ModelParams, n_tr: int, max_dim: int | None):
         )
 
 
-def _spin_couplings(params: ModelParams) -> np.ndarray:
-    j = params.j
-    n_vals = params.sector_values()
-    return np.array(
-        [-params.delta * ladder_coeff(j, n, +1) for n in n_vals[:-1]]
-    )
-
-
 def _fill_sectors(h: BlockHamiltonian, ab: np.ndarray, first: int, offset: int):
     """Write sectors first..S-1 of ``h`` into the lower band ``ab``, the block
     of sector ``first`` starting at row and column ``offset``."""
@@ -215,7 +207,7 @@ def assemble_dcs(params: ModelParams, n_tr: int, max_dim: int | None = None) -> 
         n_tr=n_tr,
         basis="dcs",
         diag=diag,
-        spin_coup=_spin_couplings(params),
+        spin_coup=-params.delta * params.spin_ladder(),
         kernel_up=kernel,
     )
 
@@ -232,7 +224,7 @@ def assemble_dfs(params: ModelParams, n_tr: int, max_dim: int | None = None) -> 
         n_tr=n_tr,
         basis="dfs",
         diag=diag,
-        spin_coup=_spin_couplings(params),
+        spin_coup=-params.delta * params.spin_ladder(),
         boson_amp=boson_amp,
     )
 

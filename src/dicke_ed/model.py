@@ -23,27 +23,9 @@ from .errors import ConfigError
 
 __all__ = [
     "ModelParams",
-    "ladder_coeff",
     "critical_coupling",
     "params_from_mapping",
 ]
-
-
-def ladder_coeff(j: float, m: float, sign: int) -> float:
-    """Half the matrix element of J+/J- in the |j, m> basis.
-
-    Returns (1/2) * sqrt(j(j+1) - m(m+sign)), i.e. the coefficient
-    j_m^(+-) multiplying |j, m+-1> when (J+ + J-)/2 acts on |j, m>.
-    Returns 0 when the target state falls outside the multiplet.
-    """
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if abs(m) > j + 1e-12:
-        raise ValueError(f"|m| = {abs(m)} exceeds j = {j}")
-    val = j * (j + 1.0) - m * (m + sign)
-    if val <= 0.0:
-        return 0.0
-    return 0.5 * math.sqrt(val)
 
 
 def critical_coupling(omega: float, delta: float) -> float:
@@ -103,6 +85,16 @@ class ModelParams:
     def sector_values(self) -> np.ndarray:
         """J_z eigenvalues n = -j..j as a length N+1 array."""
         return np.arange(self.n_atoms + 1, dtype=float) - self.j
+
+    def spin_ladder(self) -> np.ndarray:
+        """Ladder coefficients j_n^+ = (1/2) sqrt(j(j+1) - n(n+1)), n = -j..j-1.
+
+        Half the matrix element of J+ from |j, n> to |j, n+1>, which equals
+        j_(n+1)^-; the length-N array couples each sector to the next.
+        """
+        j = self.j
+        n = self.sector_values()[:-1]
+        return 0.5 * np.sqrt(j * (j + 1.0) - n * (n + 1))
 
     @property
     def lambda_c(self) -> float:

@@ -30,28 +30,22 @@ import numpy as np
 
 from .dcs_basis import overlap_kernel
 from .eigen import GroundState, ground_state
-from .errors import ConvergenceError
+from .errors import ConfigError, ConvergenceError
 from .hamiltonian import assemble_dcs, assemble_dfs, project_parity
-from .model import ModelParams, ladder_coeff
+from .model import ModelParams
 
 __all__ = [
     "ConvergedResult",
     "DEFAULT_SCHEDULE",
     "converge",
-    "magnetization_x",
-    "berry_phase",
-    "concurrence",
+    "OBSERVABLES",
     "spin_expectations",
     "result_row",
     "CSV_COLUMNS",
 ]
 
 DEFAULT_SCHEDULE = (4, 6, 8, 12, 16, 24, 32, 48, 64, 96)
-
-
-def _jplus(params: ModelParams) -> np.ndarray:
-    j = params.j
-    return np.array([ladder_coeff(j, n, +1) for n in params.sector_values()[:-1]])
+OBSERVABLES = ("e0", "b_n", "gamma", "jy2", "c_n")
 
 
 def _step_kernels(gs: GroundState, params: ModelParams, step: int):
@@ -72,7 +66,7 @@ def spin_expectations(gs: GroundState, params: ModelParams) -> dict:
     C = gs.table
     n_vals = params.sector_values()
     j = params.j
-    jp = _jplus(params)
+    jp = params.spin_ladder()
     weights = np.sum(C * C, axis=1)
 
     jz2 = float(np.sum(n_vals**2 * weights))
@@ -102,31 +96,14 @@ def spin_expectations(gs: GroundState, params: ModelParams) -> dict:
     }
 
 
-def magnetization_x(gs: GroundState, params: ModelParams) -> float:
-    """Scaled polarization deficit B_N = 1 - <J_x>_rot / j.
-
-    Pinned by the decoupled limit (B_N = 0 at lam = 0) and the strong-coupling
-    limit (B_N -> 1); at the critical coupling B_N ~ N^(-2/3).
-    """
-    return 1.0 - spin_expectations(gs, params)["jx"] / params.j
-
-
-def berry_phase(gs: GroundState, params: ModelParams) -> float:
-    """Geometric phase of the ground state under a 2*pi spin twist: 2*pi*<J_x>_rot.
-
-    Identity with magnetization_x: gamma = 2*pi*j*(1 - B_N) = -pi*N*(B_N - 1).
-    """
-    return 2.0 * math.pi * spin_expectations(gs, params)["jx"]
-
-
-def concurrence(gs: GroundState, params: ModelParams) -> float:
-    """Scaled pairwise concurrence C_N = 1 - 4<J_y^2>/N."""
-    return 1.0 - 4.0 * spin_expectations(gs, params)["jy2"] / params.n_atoms
-
-
 @dataclass
 class ConvergedResult:
-    """Observables accepted by the truncation driver, with the full history."""
+    """Observables accepted by the truncation driver, with the full history.
+
+    ``history`` holds one (n_tr, values) pair per step.  A step that tracks
+    only "e0" holds only "e0"; every other step, and the accepted one, holds
+    all OBSERVABLES.
+    """
 
     params: ModelParams
     values: dict
@@ -182,9 +159,15 @@ def converge(
     truncated diagonalization; pass the observable you are about to fit when
     its own tail matters (relative changes of scaled concurrence are
     ill-conditioned wherever it crosses zero, so track "jy2" there instead).
+    A step computes only what ``track`` needs; when it tracks the energy
+    alone, the spin observables are computed once, on the accepted state.
     """
     if threshold <= 0.0:
         raise ValueError("threshold must be positive")
+    if not track or not set(track) <= set(OBSERVABLES):
+        raise ConfigError(
+            f"track must name one or more of {', '.join(OBSERVABLES)}; got {list(track)}")
+    spin = set(track) != {"e0"}
     assemble = assemble_dcs if basis == "dcs" else assemble_dfs
     history = []
     prev = None
@@ -202,12 +185,14 @@ def converge(
             flat = padded.reshape(-1)
             v0 = h.restrict(flat) if sector != "full" else flat
         gs = ground_state(h, tol=solver_tol, seed=seed, dense=dense, v0=v0)
-        vals = _observable_set(gs, params)
+        vals = _observable_set(gs, params) if spin else {"e0": gs.energy}
         prev_gs = gs
         history.append((n_tr, vals))
         if prev is not None:
             rel = {key: _rel(vals[key], prev[key]) for key in track}
             if all(r < threshold for r in rel.values()):
+                if not spin:
+                    vals.update(_observable_set(gs, params))
                 return ConvergedResult(
                     params=params,
                     values=vals,

@@ -23,7 +23,6 @@ import functools
 import hashlib
 import json
 import os
-import subprocess
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -43,22 +42,19 @@ def config_digest(config: dict) -> str:
 
 @functools.cache
 def describe_version() -> str:
-    """Package version, decorated with the git commit when inside a checkout.
+    """Package version plus a digest of the package's source files.
 
-    Computed once per process: every manifest record needs it, and each
-    computation spawns ``git``.
+    Any edit to a module changes it, so the store never re-emits bytes that
+    other code computed, in a checkout or out of one.  Computed once per
+    process.
     """
-    here = Path(__file__).resolve().parent
-    try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            cwd=here, capture_output=True, text=True, timeout=5,
-        )
-        if out.returncode == 0 and out.stdout.strip():
-            return f"{__version__}+g{out.stdout.strip()}"
-    except (OSError, subprocess.SubprocessError):
-        pass
-    return __version__
+    here = os.path.dirname(__file__)
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(here)):
+        if name.endswith(".py"):
+            with open(os.path.join(here, name), "rb") as fh:
+                digest.update(name.encode() + b"\0" + fh.read())
+    return f"{__version__}+src.{digest.hexdigest()[:12]}"
 
 
 class ResultStore:

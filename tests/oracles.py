@@ -17,6 +17,47 @@ from scipy.linalg import eigh, expm
 from scipy.optimize import minimize
 
 from dicke_ed.dcs_basis import _RESCALE_HI, _RESCALE_LO, OverlapKernel
+from dicke_ed.observables import spin_expectations
+
+
+def ladder_coeff(j: float, m: float, sign: int) -> float:
+    """Half the matrix element of J+/J- in the |j, m> basis.
+
+    Returns (1/2) * sqrt(j(j+1) - m(m+sign)), i.e. the coefficient
+    j_m^(+-) multiplying |j, m+-1> when (J+ + J-)/2 acts on |j, m>.
+    Returns 0 when the target state falls outside the multiplet.  The scalar
+    route that ``ModelParams.spin_ladder`` vectorizes, one element at a time.
+    """
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    if abs(m) > j + 1e-12:
+        raise ValueError(f"|m| = {abs(m)} exceeds j = {j}")
+    val = j * (j + 1.0) - m * (m + sign)
+    if val <= 0.0:
+        return 0.0
+    return 0.5 * math.sqrt(val)
+
+
+def magnetization_x(gs, params) -> float:
+    """Scaled polarization deficit B_N = 1 - <J_x>_rot / j.
+
+    Pinned by the decoupled limit (B_N = 0 at lam = 0) and the strong-coupling
+    limit (B_N -> 1); at the critical coupling B_N ~ N^(-2/3).
+    """
+    return 1.0 - spin_expectations(gs, params)["jx"] / params.j
+
+
+def berry_phase(gs, params) -> float:
+    """Geometric phase of the ground state under a 2*pi spin twist: 2*pi*<J_x>_rot.
+
+    Identity with magnetization_x: gamma = 2*pi*j*(1 - B_N) = -pi*N*(B_N - 1).
+    """
+    return 2.0 * math.pi * spin_expectations(gs, params)["jx"]
+
+
+def concurrence(gs, params) -> float:
+    """Scaled pairwise concurrence C_N = 1 - 4<J_y^2>/N."""
+    return 1.0 - 4.0 * spin_expectations(gs, params)["jy2"] / params.n_atoms
 
 
 def spin_matrices(n_atoms: int):

@@ -24,7 +24,7 @@ from dicke_ed.cli import main as cli_main
 from dicke_ed.eigen import ground_state
 from dicke_ed.hamiltonian import assemble_dcs, assemble_dfs, parity_operator, project_parity
 from dicke_ed.model import ModelParams, critical_coupling
-from dicke_ed.observables import converge, magnetization_x, spin_expectations
+from dicke_ed.observables import converge, spin_expectations
 from dicke_ed.scaling import (
     SCALING_SCHEDULE,
     ScalingSeries,
@@ -37,7 +37,7 @@ from dicke_ed.scaling import (
 )
 from dicke_ed.dcs_basis import overlap_kernel
 
-from oracles import displaced_overlap, kron_rotated, unitarity_defect
+from oracles import displaced_overlap, kron_rotated, magnetization_x, unitarity_defect
 
 
 def report(tag: str, ok: bool, desc: str, detail: str = ""):

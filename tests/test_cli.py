@@ -161,6 +161,15 @@ class TestSolve:
         assert code == 4
         assert "resource cap" in err
 
+    @pytest.mark.parametrize("track", ["foo", "", "e0,foo"])
+    def test_bad_track_exits_2_listing_names(self, tmp_path, capsys, track):
+        code, out, err = run(
+            capsys, "solve", "--n-atoms", "4", "--lambda", "0.3",
+            "--track", track, "--out-dir", str(tmp_path),
+        )
+        assert code == 2 and out == ""
+        assert "config error" in err and "e0, b_n, gamma, jy2, c_n" in err
+
     def test_dump_matrix(self, tmp_path, capsys):
         dump = tmp_path / "h.coo"
         code, _, _ = run(

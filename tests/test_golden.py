@@ -18,6 +18,13 @@ CASES = {
     "compare-n31-odd.csv": ["compare", "--n-atoms", "31", "--parity", "odd",
                             "--lambdas", "0:3:0.5", "--cases", "dcs:8,dfs:10,dfs:60"],
     "solve-n32.csv": ["solve", "--n-atoms", "32", "--lambda", "1"],
+    "solve-n1024-critical.csv": ["solve", "--n-atoms", "1024", "--omega", "1",
+                                 "--delta", "1", "--lambda", "0.5"],
+    "converge-critical-n16-128.csv": ["converge", "--at-critical", "--N", "16..128"],
+    "converge-n32.csv": ["converge", "--n-atoms", "32", "--lambdas", "0:2:0.5"],
+    **{f"scaling-{obs}-d1.csv": ["scaling", "--observable", obs, "--D", "1",
+                                 "--N", "16..128"]
+       for obs in ("energy", "berry", "concurrence")},
 }
 
 

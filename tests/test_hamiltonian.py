@@ -16,7 +16,13 @@ from dicke_ed.hamiltonian import (
 from dicke_ed.eigen import ground_state
 from dicke_ed.model import ModelParams, critical_coupling
 
-from oracles import displaced_truncated_ground, kron_original, kron_rotated, oracle_ground
+from oracles import (
+    displaced_truncated_ground,
+    kron_original,
+    kron_rotated,
+    ladder_coeff,
+    oracle_ground,
+)
 
 PARAM_GRID = [
     ModelParams(2, 1.0, 1.0, 0.45),
@@ -24,6 +30,18 @@ PARAM_GRID = [
     ModelParams(4, 2.0, 1.0, 1.1),
     ModelParams(6, 1.0, 1.0, 0.5),
 ]
+
+
+class TestSpinLadder:
+    @pytest.mark.parametrize("n_atoms", [1, 2, 3, 8, 1024, 4096, 65536])
+    @pytest.mark.parametrize("omega,delta", [(1.0, 1.0), (0.7, 2.3)])
+    def test_vectorized_ladder_equals_scalar_bits(self, n_atoms, omega, delta):
+        p = ModelParams(n_atoms, omega, delta, 0.4)
+        scalar = [ladder_coeff(p.j, n, +1) for n in p.sector_values()[:-1]]
+        assert p.spin_ladder().tobytes() == np.array(scalar).tobytes()
+        coup = np.array([-delta * c for c in scalar]).tobytes()
+        assert assemble_dcs(p, 0).spin_coup.tobytes() == coup
+        assert assemble_dfs(p, 0).spin_coup.tobytes() == coup
 
 
 class TestAssembly:

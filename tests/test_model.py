@@ -7,11 +7,10 @@ from dicke_ed.errors import ConfigError
 from dicke_ed.model import (
     ModelParams,
     critical_coupling,
-    ladder_coeff,
     params_from_mapping,
 )
 
-from oracles import SectorIndex, meanfield_critical_coupling
+from oracles import SectorIndex, ladder_coeff, meanfield_critical_coupling
 
 
 class TestLadderCoeff:

@@ -6,18 +6,22 @@ import pytest
 from dicke_ed.errors import ConvergenceError
 from dicke_ed.eigen import ground_state
 from dicke_ed.hamiltonian import assemble_dcs, assemble_dfs, project_parity
+from dicke_ed import observables
 from dicke_ed.model import ModelParams, critical_coupling
 from dicke_ed.observables import (
-    berry_phase,
-    concurrence,
     converge,
-    magnetization_x,
     result_row,
     spin_expectations,
     CSV_COLUMNS,
 )
 
-from oracles import oracle_moments, to_bare_table
+from oracles import (
+    berry_phase,
+    concurrence,
+    magnetization_x,
+    oracle_moments,
+    to_bare_table,
+)
 
 
 def solve_even(params, n_tr, basis="dcs"):
@@ -184,6 +188,29 @@ class TestConvergeDriver:
         assert all(v < 1e-6 for v in res.rel_change.values())
         energies = [vals["e0"] for _, vals in res.history]
         assert all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
+
+    def test_energy_only_steps_skip_spin_moments(self, monkeypatch):
+        p = ModelParams(16, 1.0, 1.0, 0.5)
+        full = converge(p, threshold=1e-8, track=("e0", "jy2"))
+        calls = []
+        real = observables.spin_expectations
+
+        def counting(gs, params):
+            calls.append(gs.n_tr)
+            return real(gs, params)
+
+        monkeypatch.setattr(observables, "spin_expectations", counting)
+        res = converge(p, threshold=1e-8)
+        assert calls == [res.n_tr_used]
+        assert all(set(vals) == {"e0"} for _, vals in res.history[:-1])
+        assert res.history[-1][1] is res.values
+        assert res.n_tr_used == full.n_tr_used
+        assert res.values == full.values
+
+    @pytest.mark.parametrize("track", [("foo",), (), ("e0", "E0")])
+    def test_rejects_unknown_or_empty_track(self, track):
+        with pytest.raises(ValueError, match="e0, b_n, gamma, jy2, c_n"):
+            converge(ModelParams(4, 1.0, 1.0, 0.3), track=track)
 
     def test_schedule_exhaustion_carries_history(self):
         p = ModelParams(8, 1.0, 1.0, 0.9)

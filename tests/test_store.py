@@ -1,28 +1,70 @@
+import os
+import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from dicke_ed import cli, store
+from dicke_ed import __version__, cli, store
 from dicke_ed.cli import main
 from dicke_ed.store import ResultStore
 
 
-def test_records_spawn_git_at_most_once(tmp_path, monkeypatch):
+@pytest.fixture
+def popen_calls(monkeypatch):
+    """Arguments of every subprocess started while the test runs."""
     calls = []
-    real_run = subprocess.run
+    real_popen = subprocess.Popen
 
-    def counting_run(*args, **kwargs):
+    def counting_popen(*args, **kwargs):
         calls.append(args)
-        return real_run(*args, **kwargs)
+        return real_popen(*args, **kwargs)
 
-    monkeypatch.setattr(store.subprocess, "run", counting_run)
+    monkeypatch.setattr(subprocess, "Popen", counting_popen)
     store.describe_version.cache_clear()
+    return calls
+
+
+def test_records_start_no_subprocess(tmp_path, popen_calls):
     rs = ResultStore(tmp_path)
     first = rs.record("a" * 16, "solve", [], 0.1, {"command": "solve"})
     second = rs.record("b" * 16, "solve", [], 0.2, {"command": "solve"})
-    assert len(calls) <= 1
+    assert popen_calls == []
     assert first["version"] == second["version"]
+    assert first["version"].startswith(__version__ + "+src.")
     assert len(rs.entries()) == 2
+
+
+def test_cold_solve_starts_no_subprocess(tmp_path, capsys, popen_calls):
+    argv = ["solve", "--n-atoms", "4", "--lambda", "0.3", "--workers", "1",
+            "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert "cache hit" not in capsys.readouterr().err
+    assert popen_calls == []
+
+
+def test_source_edit_turns_hit_cold(tmp_path):
+    """A copy of the package outside any checkout: a one-byte edit to a module
+    changes the version, so the rerun is cold."""
+    src = tmp_path / "src"
+    shutil.copytree(Path(store.__file__).parent, src / "dicke_ed",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    argv = [sys.executable, "-m", "dicke_ed.cli", "solve", "--n-atoms", "4",
+            "--lambda", "0.3", "--workers", "1", "--out-dir", str(tmp_path / "store")]
+
+    def run():
+        return subprocess.run(argv, env=env, cwd=tmp_path, capture_output=True,
+                              text=True, check=True)
+
+    first, hit = run(), run()
+    assert "cache hit" in hit.stderr and hit.stdout == first.stdout
+    with open(src / "dicke_ed" / "model.py", "a") as fh:
+        fh.write("\n")
+    edited = run()
+    assert "cache hit" not in edited.stderr
+    assert edited.stdout == first.stdout
 
 
 def test_version_or_schema_change_turns_hit_cold(tmp_path, monkeypatch):
