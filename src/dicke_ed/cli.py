@@ -25,6 +25,7 @@ from .eigen import ground_state
 from .model import ModelParams, critical_coupling, params_from_mapping
 from .observables import CSV_COLUMNS, DEFAULT_SCHEDULE, OBSERVABLES, converge, result_row
 from .scaling import (
+    MIN_SERIES_POINTS,
     SCALING_SCHEDULE,
     berry_deviation_series,
     concurrence_deviation_series,
@@ -403,7 +404,7 @@ def _converge_lambda_point(job) -> list:
         params, threshold=min(threshold, 1e-8), schedule=SCALING_SCHEDULE,
         track=("e0",), solver_tol=solver_tol, seed=seed,
     )
-    e_ref = ref.values["e0"]
+    e_ref = ref.energy
     rows = []
     for n_tr in ntr_list:
         h = project_parity(assemble_dcs(params, n_tr), "even")
@@ -446,7 +447,7 @@ def cmd_converge(args) -> int:
             )
             rows.append({
                 "N": n, "lambda": lam_c, "ntr_used": res.n_tr_used,
-                "E0": res.values["e0"],
+                "E0": res.energy,
             })
         text = csv_text(("N", "lambda", "ntr_used", "E0"), rows)
         _emit(store, cfg, {".csv": text}, time.monotonic() - t0)
@@ -503,6 +504,10 @@ _SERIES_BUILDERS = {
 def cmd_scaling(args) -> int:
     d_list = parse_float_list(args.big_d)
     n_list = parse_n_list(args.n_range)
+    if len(n_list) < MIN_SERIES_POINTS:
+        raise ConfigError(f"scaling needs at least {MIN_SERIES_POINTS} sizes, got {n_list}")
+    if not d_list or not all(d > 0.0 for d in d_list) or not args.omega > 0.0:
+        raise ConfigError(f"--D values and --omega must be positive, got {d_list}, {args.omega}")
     threshold = args.threshold
     if threshold is None:
         threshold = 1e-8 if args.observable == "energy" else 1e-6
@@ -584,10 +589,20 @@ _COMMANDS = {
 }
 
 
+def _check_tolerances(args) -> None:
+    """Refuse a non-positive tolerance before any solve (compare would record
+    it as a failed cell per point)."""
+    for name in ("threshold", "solver_tol"):
+        value = getattr(args, name, None)
+        if value is not None and not value > 0.0:
+            raise ConfigError(f"--{name.replace('_', '-')} must be positive, got {value!r}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_tolerances(args)
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")

@@ -28,15 +28,20 @@ direct alternating sum cancels catastrophically once its largest term exceeds
 ~1e3 times the result (e.g. l = k = 30 at g = 2 loses ~7 digits even with
 exact-integer term generation); the test suite keeps it as a cross-check.
 
-A table is built by one vectorized recurrence over its whole lower triangle.
-The pairs (l, k), l >= k, are ordered by k; the Laguerre degree of a pair is
-k and its order l - k, so step i of the recurrence applies exactly to the
-contiguous suffix of pairs with k > i.  Each step performs the scalar
-recurrence's IEEE operations in the same order, and the logarithms of the
-rare renormalizations and the final logarithms and exponentials go through
-:mod:`math` entry by entry, so every table is bit-identical to evaluating the
-closed form one entry at a time (the test suite keeps that scalar form as its
-oracle).
+Entries are computed by one vectorized recurrence over a set of pairs
+(l, k), l >= k, ordered by k; the Laguerre degree of a pair is k and its
+order l - k, so step i of the recurrence applies exactly to the contiguous
+suffix of pairs with k > i.  Each step performs the scalar recurrence's IEEE
+operations in the same order, and the logarithms of the rare
+renormalizations and the final logarithms and exponentials go through
+:mod:`math` entry by entry, so every entry is bit-identical to evaluating the
+closed form on its own (the test suite keeps that scalar form as its oracle).
+
+B_{l,k}(g) does not depend on the truncation, so one table is kept per
+displacement g and grown: a request for a larger n_tr runs the recurrence
+over the new rows l > the kept size only, and a smaller n_tr reads the
+leading block.  A grown table is therefore bit-identical to one built at its
+full size.
 """
 
 import math
@@ -97,17 +102,16 @@ def _math_map(fn, values: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, values), float, count=len(values))
 
 
-def _displaced_lower(g: float, k: np.ndarray, l: np.ndarray, size: int) -> np.ndarray:
-    """<l| D(g) |k> for g > 0 over the pairs l >= k of a size x size table,
-    listed in ascending k."""
+def _displaced_lower(g: float, k: np.ndarray, l: np.ndarray) -> np.ndarray:
+    """<l| D(g) |k> for g > 0 over pairs l >= k listed in ascending k."""
     x = g * g
     a = (l - k).astype(float)
     # degree-0 pairs hold L_0 = 1; the others start from (L_0, L_1) = (1, 1 + a - x)
     prev = np.ones(len(k))
     cur = np.where(k > 0, 1.0 + a - x, 1.0)
     log_scale = np.zeros(len(k))
-    for i in range(1, size - 1):
-        s = (i + 1) * size - i * (i + 1) // 2  # first pair with k > i
+    for i in range(1, int(k[-1])):
+        s = int(np.searchsorted(k, i, side="right"))  # first pair with k > i
         p, c, aa = prev[s:], cur[s:], a[s:]
         nxt = ((2 * i + 1 + aa - x) * c - (i + aa) * p) / (i + 1)
         prev[s:] = c
@@ -121,7 +125,7 @@ def _displaced_lower(g: float, k: np.ndarray, l: np.ndarray, size: int) -> np.nd
             cur[hit] /= m
             log_scale[hit] += _math_map(math.log, m)
 
-    lgam = np.array([math.lgamma(n + 1) for n in range(size)])
+    lgam = np.array([math.lgamma(n + 1) for n in range(int(l.max()) + 1)])
     log_pref = 0.5 * (lgam[k] - lgam[l]) + a * math.log(g) - 0.5 * x
     nz = np.flatnonzero(cur)
     mant = cur[nz]
@@ -133,20 +137,41 @@ def _displaced_lower(g: float, k: np.ndarray, l: np.ndarray, size: int) -> np.nd
     return out
 
 
+# One table per displacement, grown on demand; least recently used first.
+_GROWN: dict = {}
+_GROWN_MAX = 128
+
+
+def _grown_table(g: float, size: int) -> np.ndarray:
+    """Leading size x size block of the table kept for ``g``.
+
+    A larger request computes only the rows (and, by symmetry, columns)
+    l >= the kept size; every entry is evaluated on its own, so the grown
+    table equals one built at its full size bit for bit.
+    """
+    table = _GROWN.pop(g, np.empty((0, 0)))
+    old = table.shape[0]
+    if old < size:
+        grown = np.empty((size, size))
+        grown[:old, :old] = table
+        n = np.arange(size)
+        # the new pairs l >= k, l >= old, in ascending k
+        k, l = np.nonzero((n[:, np.newaxis] <= n) & (n >= old))
+        ksign = np.where(k % 2, -1.0, 1.0)
+        vals = ksign * ((l == k) if g == 0.0 else _displaced_lower(g, k, l))
+        grown[l, k] = vals
+        grown[k, l] = vals
+        grown.setflags(write=False)
+        table = grown
+    _GROWN[g] = table
+    if len(_GROWN) > _GROWN_MAX:
+        del _GROWN[next(iter(_GROWN))]
+    return table[:size, :size]
+
+
 @lru_cache(maxsize=128)
 def _overlap_kernel_cached(g: float, n_tr: int) -> OverlapKernel:
-    size = n_tr + 1
-    n = np.arange(size)
-    k, l = np.nonzero(n[:, np.newaxis] <= n)  # pairs l >= k in ascending k
-    ksign = np.where(k % 2, -1.0, 1.0)
-    if g == 0.0:
-        vals = ksign * (l == k)
-    else:
-        vals = ksign * _displaced_lower(g, k, l, size)
-    table = np.empty((size, size))
-    table[l, k] = vals
-    table[k, l] = vals
-    return OverlapKernel(delta=g, table=table, kind="alternating")
+    return OverlapKernel(delta=g, table=_grown_table(g, n_tr + 1), kind="alternating")
 
 
 def overlap_kernel(g: float, n_tr: int) -> OverlapKernel:

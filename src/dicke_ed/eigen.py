@@ -9,9 +9,13 @@ Symmetric Eigenvalue Problem*).  The shift starts strictly below the
 Gershgorin bound and rises by bisection and by Rayleigh estimates
 theta - r; inverse iteration with the latest factor converges to the lowest
 eigenvector, the one nearest a shift below the spectrum (Ericsson & Ruhe,
-Math. Comp. 35 (1980)).  Once the residual r is at most tol*max(1, |theta|),
-one more factorization proves the returned energy the lowest; if it fails,
-ConvergenceError.  Only the band and one factor are alive at a time.
+Math. Comp. 35 (1980)).  That holds for a fixed shift too, so a step keeps
+the previous step's factor when that step's contraction predicts the target
+is reached, r_new**2 <= target * r_old; ``factorizations`` may then be below
+``iterations``, and such steps count against MAX_FACTORIZATIONS.  Once the
+residual r is at most target = tol*max(1, |theta|), one more factorization
+proves the returned energy the lowest; if it fails, ConvergenceError.  Only
+the band and one factor are alive at a time.
 """
 
 from dataclasses import dataclass, field
@@ -19,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, eigh
 
-from .errors import ConvergenceError
+from .errors import ConfigError, ConvergenceError
 from .hamiltonian import gershgorin
 
 __all__ = ["GroundState", "ground_state"]
@@ -34,7 +38,8 @@ class GroundState:
     ``vector`` always lives in the full (unprojected) flat basis; solves done
     inside a parity sector are expanded before being stored here, and
     ``sector`` records where the solve happened.  ``iterations`` counts
-    inverse-iteration steps.  The sector's lowest eigenvalue is proven to lie
+    inverse-iteration steps and ``factorizations`` the Cholesky factorizations,
+    fewer when steps reuse a factor.  The sector's lowest eigenvalue is proven to lie
     in [``lower_bound``, ``energy``]; ``bandwidth`` is the lower bandwidth of
     the band that was factored.  The dense oracle has neither.
     """
@@ -118,8 +123,9 @@ def _certified_lowest(h, tol: float, seed: int, v0: np.ndarray | None):
     # proven: lo <= E0 (strictly below the Gershgorin bound) and E0 <= hi
     lo = test.lowest - 2.0 * test.slack
     hi = min(theta, float(test.ab[0].min()))
-    steps = 0
-    while test.count < MAX_FACTORIZATIONS:
+    steps = reused = 0
+    keep = False
+    while test.count + reused < MAX_FACTORIZATIONS:
         target = tol * max(1.0, abs(theta))
         sigma = theta - r - target - 2.0 * test.slack
         if r <= target:
@@ -129,24 +135,32 @@ def _certified_lowest(h, tol: float, seed: int, v0: np.ndarray | None):
                     f"the spectrum reaches below {sigma:.12g}", residual=r)
             # the certified shift is the closest yet: one more cheap step
             return (*test.step(h, x), sigma, steps + 1, test)
-        # raise the shift to the Rayleigh estimate or else the midpoint of
-        # [lo, hi], whichever is first proven below E0; else refactor at lo
-        for trial in (sigma, 0.5 * (lo + hi)):
-            if trial > lo:
-                if test.below_spectrum(trial):
-                    lo = trial
-                    break
-                hi = min(hi, trial + 2.0 * test.slack)
+        if keep:
+            reused += 1
         else:
-            if not test.below_spectrum(lo):
-                raise ConvergenceError(f"the proven shift {lo:.12g} failed to factor",
-                                       residual=r)
+            # raise the shift to the Rayleigh estimate or else the midpoint of
+            # [lo, hi], whichever is first proven below E0; else refactor at lo
+            for trial in (sigma, 0.5 * (lo + hi)):
+                if trial > lo:
+                    if test.below_spectrum(trial):
+                        lo = trial
+                        break
+                    hi = min(hi, trial + 2.0 * test.slack)
+            else:
+                if not test.below_spectrum(lo):
+                    raise ConvergenceError(f"the proven shift {lo:.12g} failed to factor",
+                                           residual=r)
+        r_old = r
         x, theta, r = test.step(h, x)
         steps += 1
         hi = min(hi, theta)
+        # if this step's contraction carries the next one to the target, the
+        # next step keeps the factor rather than pay for a closer shift
+        keep = r * r <= target * r_old
     raise ConvergenceError(
-        f"shift-invert did not converge in {test.count} factorizations "
-        f"(residual {r:.3e}, target {tol * max(1.0, abs(theta)):.3e})", residual=r)
+        f"shift-invert did not converge in {test.count} factorizations and {reused} "
+        f"reused steps (residual {r:.3e}, target {tol * max(1.0, abs(theta)):.3e})",
+        residual=r)
 
 
 def ground_state(h, tol: float = 1e-10, seed: int = 0, dense: bool = False,
@@ -159,8 +173,8 @@ def ground_state(h, tol: float = 1e-10, seed: int = 0, dense: bool = False,
     than return an uncertified pair.  ``seed`` draws the start vector unless
     ``v0`` gives one; ``dense`` uses dense ``eigh`` instead (oracle path).
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not tol > 0.0:
+        raise ConfigError(f"tol must be positive, got {tol!r}")
     if dense:
         vals, vecs = eigh(h.to_dense(), subset_by_index=(0, 0))
         energy, vec, steps, count, bound, width = vals[0], vecs[:, 0], 0, 0, None, None

@@ -21,6 +21,9 @@ Rotating back to the lab frame maps lab J_x -> rotated J_z, lab J_z ->
 Expectation values across sectors n and n+-1 (n+-2) contract the coefficient
 table with the sign-dressed overlap kernels at displacement step G (2G); in
 the bare basis those kernels are the identity.
+
+The truncation driver computes at each step only the observables it tracks;
+the others are computed on the accepted state when they are first read.
 """
 
 import math
@@ -101,12 +104,14 @@ class ConvergedResult:
     """Observables accepted by the truncation driver, with the full history.
 
     ``history`` holds one (n_tr, values) pair per step.  A step that tracks
-    only "e0" holds only "e0"; every other step, and the accepted one, holds
-    all OBSERVABLES.
+    only "e0" holds only "e0"; every other step holds all OBSERVABLES.  The
+    accepted step's dict is ``values``: the observables no step tracked are
+    computed into it from ``ground`` on its first read, so a caller that
+    needs only ``energy`` never pays for the spin moments.
     """
 
     params: ModelParams
-    values: dict
+    step_values: dict
     n_tr_used: int
     history: list = field(repr=False)
     rel_change: dict
@@ -115,8 +120,14 @@ class ConvergedResult:
     threshold: float
 
     @property
+    def values(self) -> dict:
+        if len(self.step_values) < len(OBSERVABLES):
+            self.step_values.update(_observable_set(self.ground, self.params))
+        return self.step_values
+
+    @property
     def energy(self) -> float:
-        return self.values["e0"]
+        return self.step_values["e0"]
 
 
 def _observable_set(gs: GroundState, params: ModelParams) -> dict:
@@ -160,10 +171,11 @@ def converge(
     its own tail matters (relative changes of scaled concurrence are
     ill-conditioned wherever it crosses zero, so track "jy2" there instead).
     A step computes only what ``track`` needs; when it tracks the energy
-    alone, the spin observables are computed once, on the accepted state.
+    alone, the spin observables are computed on the accepted state when the
+    result's ``values`` are first read.
     """
-    if threshold <= 0.0:
-        raise ValueError("threshold must be positive")
+    if not threshold > 0.0:
+        raise ConfigError(f"threshold must be positive, got {threshold!r}")
     if not track or not set(track) <= set(OBSERVABLES):
         raise ConfigError(
             f"track must name one or more of {', '.join(OBSERVABLES)}; got {list(track)}")
@@ -191,11 +203,9 @@ def converge(
         if prev is not None:
             rel = {key: _rel(vals[key], prev[key]) for key in track}
             if all(r < threshold for r in rel.values()):
-                if not spin:
-                    vals.update(_observable_set(gs, params))
                 return ConvergedResult(
                     params=params,
-                    values=vals,
+                    step_values=vals,
                     n_tr_used=n_tr,
                     history=history,
                     rel_change=rel,

@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 DEFAULT_N_GRID = tuple(2**p for p in range(4, 11))
+MIN_SERIES_POINTS = 4  # sizes an exponent fit needs
 
 # The stock truncation schedule topped up for the slowest corner of the
 # scaling sweeps (small N deep in the adiabatic regime, e.g. D = 10 at
@@ -113,8 +114,8 @@ def extrapolate_exponent(series: ScalingSeries) -> ExponentFit:
     at the largest N; ``power_law_ok`` flags whether the slopes are actually
     settling (they run away for faster-than-power-law decay).
     """
-    if len(series.n_values) < 4:
-        raise ValueError("need at least 4 series points to extrapolate")
+    if len(series.n_values) < MIN_SERIES_POINTS:
+        raise ValueError(f"need at least {MIN_SERIES_POINTS} series points to extrapolate")
     slopes = series.local_slopes()
     x_all = series.slope_abscissas()
     n_mid = 1.0 / x_all
@@ -183,7 +184,8 @@ def _sweep_point(args) -> dict:
             residual=exc.residual,
             history=exc.history,
         ) from exc
-    out = dict(res.values)
+    # an energy sweep reads only E0: leave the accepted state's spin moments unbuilt
+    out = {"e0": res.energy} if set(track) == {"e0"} else dict(res.values)
     out["n_tr_used"] = res.n_tr_used
     out["residual"] = res.ground.residual
     return out
@@ -202,6 +204,9 @@ def observable_sweep(
     workers: int = 1,
 ) -> list[dict]:
     """Converged observables for each N at fixed (D, coupling).
+
+    Each row holds E0 alone when ``track`` is the energy alone, and every
+    observable otherwise.
 
     The coupling defaults to the critical one for (omega, delta = D*omega).
     Points are independent jobs; results are returned in the order of

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dicke_ed import cli, scaling
 from dicke_ed.cli import (
     RunConfig,
     main,
@@ -295,6 +296,52 @@ class TestScalingCommand:
         assert code1 == code2 == 0
         assert out1 == out2
         assert "cache hit" in err2
+
+
+class TestBadNumbersExit2:
+    """Bad numbers end in exit 2 with context, before any solve."""
+
+    @pytest.fixture(autouse=True)
+    def no_solve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a solve started")
+
+        monkeypatch.setattr(scaling, "observable_sweep", refuse)
+        monkeypatch.setattr(cli, "converge", refuse)
+        monkeypatch.setattr(cli, "_run_jobs", refuse)
+
+    @pytest.mark.parametrize("argv,flag", [
+        (argv, flag)
+        for argv in (("solve", "--n-atoms", "4", "--lambda", "0.3"),
+                     ("compare", "--n-atoms", "4", "--lambdas", "0.3"),
+                     ("converge", "--n-atoms", "4", "--lambdas", "0.3"),
+                     ("converge", "--at-critical", "--N", "16,32"))
+        for flag in ("--threshold", "--solver-tol")
+        if argv[0] != "compare" or flag == "--solver-tol"  # compare has no --threshold
+    ])
+    @pytest.mark.parametrize("value", ["0", "-1e-6"])
+    def test_non_positive_tolerance(self, tmp_path, capsys, argv, flag, value):
+        code, out, err = run(capsys, *argv, f"{flag}={value}", "--workers", "1",
+                             "--out-dir", str(tmp_path))
+        assert code == 2 and out == ""
+        assert f"config error: {flag} must be positive" in err
+
+    @pytest.mark.parametrize("extra,message", [
+        (("--N", "16..64"), "at least 4 sizes"),
+        (("--N", "16"), "at least 4 sizes"),
+        (("--D", "0"), "must be positive"),
+        (("--D", "-10"), "must be positive"),
+        (("--D", "1,0"), "must be positive"),
+        (("--omega", "0"), "must be positive"),
+        (("--threshold", "0"), "must be positive"),
+    ])
+    def test_bad_scaling_input(self, tmp_path, capsys, extra, message):
+        argv = {"--observable": "energy", "--D": "1", "--N": "16..128"}
+        argv.update(zip(extra[::2], extra[1::2]))
+        code, out, err = run(capsys, "scaling", *(f"{k}={v}" for k, v in argv.items()),
+                             "--workers", "1", "--out-dir", str(tmp_path))
+        assert code == 2 and out == ""
+        assert "config error" in err and message in err
 
 
 class TestArgparseBehavior:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dicke_ed import dcs_basis
 from dicke_ed.dcs_basis import overlap_kernel
 
 from oracles import (
@@ -186,15 +187,28 @@ class TestUnitarityDefect:
 
 
 class TestVectorizedBuilder:
-    """The one-pass table builder against the entry-by-entry scalar route."""
+    """The vectorized table builder, in one pass and by growth, against the
+    entry-by-entry scalar route."""
+
+    @staticmethod
+    def _forget_tables():
+        dcs_basis._overlap_kernel_cached.cache_clear()
+        dcs_basis._GROWN.clear()
 
     @pytest.mark.parametrize("n_tr", [0, 1, 4, 7, 64, 129, 160, 193])
     @pytest.mark.parametrize("g", [0.0, 0.03125, 0.3953, 1.58, 5.0, 12.0, 45.0, 60.0])
     def test_bit_identical_to_scalar_route(self, g, n_tr):
-        table = overlap_kernel(g, n_tr).table
+        """Built in one pass, and reached by growth: ascending truncations,
+        then a smaller one served as the grown table's leading block."""
         ref = scalar_kernel_table(g, n_tr)
-        assert np.array_equal(table, ref)
-        assert np.array_equal(np.signbit(table), np.signbit(ref))
+        self._forget_tables()
+        grown = [overlap_kernel(g, m).table for m in (n_tr // 4, n_tr // 2, n_tr)]
+        grown.append(overlap_kernel(g, n_tr // 3).table)
+        self._forget_tables()
+        for table in [overlap_kernel(g, n_tr).table] + grown:
+            size = table.shape[0]
+            assert np.array_equal(table, ref[:size, :size])
+            assert np.array_equal(np.signbit(table), np.signbit(ref[:size, :size]))
 
     @pytest.mark.parametrize("g,n_tr", [(60.0, 160), (45.0, 193)])
     def test_rescale_branch_exercised(self, g, n_tr):

@@ -85,6 +85,22 @@ class TestGroundState:
         assert warm.energy == pytest.approx(cold.energy, abs=1e-9)
         assert warm.iterations <= cold.iterations
 
+    def test_warm_start_reuses_factor(self):
+        """Started from the n_tr = 64 solution, the D = 10 critical solve at
+        n_tr = 96 contracts fast enough to keep its first factor; the second
+        factorization is the closing certificate."""
+        p = ModelParams(32, 1.0, 10.0, critical_coupling(1.0, 10.0))
+        small = ground_state(project_parity(assemble_dcs(p, 64), "even"))
+        h = project_parity(assemble_dcs(p, 96), "even")
+        padded = np.zeros((33, 97))
+        padded[:, :65] = small.table
+        warm = ground_state(h, v0=h.restrict(padded.reshape(-1)))
+        assert warm.factorizations == 2
+        assert warm.iterations > warm.factorizations
+        exact = eigh(h.to_dense(), subset_by_index=(0, 0), eigvals_only=True)[0]
+        assert warm.lower_bound <= exact
+        assert warm.energy == pytest.approx(exact, rel=1e-12)
+
     def test_reports_factored_bandwidth(self):
         """The N = 32 bare sector at cutoff 100 factors a band S' = 17 wide;
         in sector-major order it would be n_tr + 1 = 101."""

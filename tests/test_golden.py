@@ -22,6 +22,8 @@ CASES = {
                                  "--delta", "1", "--lambda", "0.5"],
     "converge-critical-n16-128.csv": ["converge", "--at-critical", "--N", "16..128"],
     "converge-n32.csv": ["converge", "--n-atoms", "32", "--lambdas", "0:2:0.5"],
+    "scaling-energy-d10.csv": ["scaling", "--observable", "energy", "--D", "10",
+                               "--N", "16..128"],
     **{f"scaling-{obs}-d1.csv": ["scaling", "--observable", obs, "--D", "1",
                                  "--N", "16..128"]
        for obs in ("energy", "berry", "concurrence")},

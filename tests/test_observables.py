@@ -201,9 +201,11 @@ class TestConvergeDriver:
 
         monkeypatch.setattr(observables, "spin_expectations", counting)
         res = converge(p, threshold=1e-8)
-        assert calls == [res.n_tr_used]
-        assert all(set(vals) == {"e0"} for _, vals in res.history[:-1])
+        assert calls == []
+        assert all(set(vals) == {"e0"} for _, vals in res.history)
+        assert res.energy == full.energy
         assert res.history[-1][1] is res.values
+        assert calls == [res.n_tr_used]
         assert res.n_tr_used == full.n_tr_used
         assert res.values == full.values
 
