@@ -12,11 +12,11 @@ output path that cannot be read or written), 3 solver/fit failure,
 """
 
 import argparse
+import locale  # noqa: F401  (argparse's gettext imports it lazily, mid-run otherwise)
 import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .errors import ConfigError, ConvergenceError, DimensionCapError, FitError
@@ -31,6 +31,7 @@ from .scaling import (
     concurrence_deviation_series,
     energy_deviation_series,
     extrapolate_exponent,
+    run_jobs,
 )
 from .store import CSV_SCHEMA_VERSION, ResultStore, config_digest
 
@@ -390,7 +391,7 @@ def cmd_compare(args) -> int:
          args.max_dim)
         for lam in lambdas for (basis, n_tr) in cases
     ]
-    rows = _run_jobs(_compare_cell, jobs, args.workers)
+    rows = run_jobs(_compare_cell, jobs, args.workers)
     columns = ("lambda", "basis", "n_tr", "E0", "E0_scaled", "status")
     text = csv_text(columns, rows)
     _emit(store, cfg, {".csv": text}, time.monotonic() - t0)
@@ -479,7 +480,7 @@ def cmd_converge(args) -> int:
          args.threshold, args.seed, args.solver_tol)
         for lam in lambdas
     ]
-    nested = _run_jobs(_converge_lambda_point, jobs, args.workers)
+    nested = run_jobs(_converge_lambda_point, jobs, args.workers)
     rows = [row for group in nested for row in group]
     text = csv_text(("lambda", "n_tr", "E0", "E0_ref", "rel_dev"), rows)
     _emit(store, cfg, {".csv": text}, time.monotonic() - t0)
@@ -572,13 +573,6 @@ def cmd_scaling(args) -> int:
     for line in summaries:
         sys.stderr.write(line + "\n")
     return 0
-
-
-def _run_jobs(fn, jobs, workers):
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, jobs))
-    return [fn(job) for job in jobs]
 
 
 _COMMANDS = {

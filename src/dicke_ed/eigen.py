@@ -16,12 +16,23 @@ is reached, r_new**2 <= target * r_old; ``factorizations`` may then be below
 residual r is at most target = tol*max(1, |theta|), one more factorization
 proves the returned energy the lowest; if it fails, ConvergenceError.  Only
 the band and one factor are alive at a time.
+
+The factorization and the solves are LAPACK ``dpbtrf``/``dpbtrs`` through
+scipy's own f2py extension, the one ``scipy.linalg.cholesky_banded`` and
+``cho_solve_banded`` call, loaded by file so that a solve never imports the
+``scipy.linalg`` package: its import chain (numpy.f2py, numpy.testing, ...)
+costs several times the whole solve of a cold N = 1024 run.  Only the dense
+oracle path imports ``scipy.linalg``, on demand.
 """
 
+import sys
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import find_spec, module_from_spec, spec_from_file_location
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, eigh
+from numpy.random import default_rng  # at import: a solve imports nothing
 
 from .errors import ConfigError, ConvergenceError
 from .hamiltonian import gershgorin
@@ -29,6 +40,30 @@ from .hamiltonian import gershgorin
 __all__ = ["GroundState", "ground_state"]
 
 MAX_FACTORIZATIONS = 200
+
+
+def _load_flapack():
+    """scipy's ``scipy.linalg._flapack`` extension, without its package."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    folder = Path(find_spec("scipy").origin).parent / "linalg"  # imports nothing
+    for suffix in EXTENSION_SUFFIXES:
+        path = folder / f"_flapack{suffix}"
+        if path.is_file():
+            break
+    else:
+        raise ImportError(f"no LAPACK extension _flapack in {folder}")
+    spec = spec_from_file_location(name, path, loader=ExtensionFileLoader(name, str(path)))
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # a later ``import scipy.linalg`` then wraps this same module
+    sys.modules[name] = module
+    return module
+
+
+_flapack = _load_flapack()
+_dpbtrf, _dpbtrs = _flapack.dpbtrf, _flapack.dpbtrs
 
 
 @dataclass
@@ -93,15 +128,17 @@ class ShiftTest:
         self.count += 1
         self.work[...] = self.ab
         self.work[0] -= sigma + self.slack
-        try:
-            cholesky_banded(self.work, overwrite_ab=True, lower=True, check_finite=False)
-        except LinAlgError:
-            return False
-        return True
+        self.work, info = _dpbtrf(self.work, lower=1, overwrite_ab=1)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dpbtrf")
+        # info > 0: a leading minor is not positive definite
+        return info == 0
 
     def step(self, h, x: np.ndarray):
         """One inverse-iteration step with the current factor: (x, theta, r)."""
-        x = cho_solve_banded((self.work, True), x, check_finite=False)
+        x, info = _dpbtrs(self.work, x, lower=1)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dpbtrs")
         x /= np.linalg.norm(x)
         return (x, *_rayleigh(h, x))
 
@@ -117,7 +154,7 @@ def _certified_lowest(h, tol: float, seed: int, v0: np.ndarray | None):
     the factorization count and the band."""
     test = ShiftTest(h.band())
     if v0 is None or not np.any(v0):
-        v0 = np.random.default_rng(seed).standard_normal(h.dim)
+        v0 = default_rng(seed).standard_normal(h.dim)
     x = np.array(v0, dtype=float) / np.linalg.norm(v0)
     theta, r = _rayleigh(h, x)
     # proven: lo <= E0 (strictly below the Gershgorin bound) and E0 <= hi
@@ -176,6 +213,8 @@ def ground_state(h, tol: float = 1e-10, seed: int = 0, dense: bool = False,
     if not tol > 0.0:
         raise ConfigError(f"tol must be positive, got {tol!r}")
     if dense:
+        from scipy.linalg import eigh
+
         vals, vecs = eigh(h.to_dense(), subset_by_index=(0, 0))
         energy, vec, steps, count, bound, width = vals[0], vecs[:, 0], 0, 0, None, None
         resid = float(np.linalg.norm(h.matvec(vec) - energy * vec))

@@ -9,7 +9,6 @@ intercept.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -220,10 +219,18 @@ def observable_sweep(
         (int(n), omega, delta, lam, threshold, track, schedule, seed, solver_tol)
         for n in n_list
     ]
-    if workers > 1:
+    return run_jobs(_sweep_point, jobs, workers)
+
+
+def run_jobs(fn, jobs: list, workers: int) -> list:
+    """``[fn(job) for job in jobs]``, in a process pool when ``workers`` > 1 and
+    there is more than one job; only then is the pool machinery imported."""
+    if workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_sweep_point, jobs))
-    return [_sweep_point(job) for job in jobs]
+            return list(pool.map(fn, jobs))
+    return [fn(job) for job in jobs]
 
 
 def energy_deviation_series(

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -308,7 +311,7 @@ class TestBadNumbersExit2:
 
         monkeypatch.setattr(scaling, "observable_sweep", refuse)
         monkeypatch.setattr(cli, "converge", refuse)
-        monkeypatch.setattr(cli, "_run_jobs", refuse)
+        monkeypatch.setattr(cli, "run_jobs", refuse)
 
     @pytest.mark.parametrize("argv,flag", [
         (argv, flag)
@@ -354,3 +357,28 @@ class TestArgparseBehavior:
         with pytest.raises(SystemExit) as info:
             main(["scaling", "--D", "1"])
         assert info.value.code == 2
+
+
+FOOTPRINT = """
+import json, sys
+import dicke_ed.cli
+loaded = [m for m in ("scipy.linalg", "scipy._lib", "multiprocessing") if m in sys.modules]
+before = set(sys.modules)
+code = dicke_ed.cli.main(["solve", "--n-atoms", "64", "--workers", "1", "--out-dir", sys.argv[1]])
+added = sorted(set(sys.modules) - before)
+sys.stderr.write(json.dumps({"code": code, "loaded": loaded, "added": added}) + "\\n")
+"""
+
+
+class TestImportFootprint:
+    """The CLI loads neither the scipy.linalg package nor the process pool,
+    and a cold solve imports nothing after it: both are set-up cost."""
+
+    def test_import_and_cold_solve(self, tmp_path):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run([sys.executable, "-c", FOOTPRINT, str(tmp_path / "store")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        report = json.loads(proc.stderr.strip().splitlines()[-1])
+        assert report == {"code": 0, "loaded": [], "added": []}

@@ -2,8 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, eigh
 
+from dicke_ed import eigen
 from dicke_ed.errors import ConvergenceError
 from dicke_ed.eigen import ShiftTest, ground_state
 from dicke_ed.hamiltonian import (
@@ -167,6 +168,58 @@ class TestCertificate:
             ground_state(h, v0=vecs[:, 1])
         assert info.value.residual is not None
         assert 0.0 <= info.value.residual <= 1e-10 * abs(vals[1])
+
+
+class TestLapackPair:
+    """ShiftTest calls LAPACK dpbtrf/dpbtrs directly; scipy.linalg's banded
+    Cholesky pair, which calls the same routines, is the reference."""
+
+    @pytest.mark.parametrize("n_atoms,basis,n_tr,sector,order", [
+        (12, "dcs", 5, "even", "sector"),
+        (13, "dcs", 4, "odd", "sector"),
+        (13, "dcs", 7, "full", "sector"),
+        (12, "dfs", 20, "even", "boson"),
+        (13, "dfs", 20, "odd", "boson"),
+        (32, "dfs", 4, "even", "sector"),
+        (31, "dfs", 4, "odd", "sector"),
+        (12, "dfs", 20, "full", "sector"),
+    ])
+    def test_bit_identical_to_scipy_linalg(self, n_atoms, basis, n_tr, sector, order):
+        h = sector_matrix(n_atoms, 0.7, basis, n_tr, sector)
+        assert getattr(h, "boson_major", False) == (order == "boson")
+        vals = eigh(h.to_dense(), eigvals_only=True)
+        x0 = np.random.default_rng(n_atoms).standard_normal(h.dim)
+        test = ShiftTest(h.band())
+        outcomes = []
+        for sigma in (vals[0] - 1.0, 0.5 * (vals[0] + vals[-1]), vals[-1] + 1.0):
+            ok = test.below_spectrum(sigma)
+            ref = np.array(h.band(), order="F")
+            ref[0] -= sigma + test.slack
+            try:  # factors in place, so ``ref`` holds the factor
+                assert cholesky_banded(ref, overwrite_ab=True, lower=True,
+                                       check_finite=False) is ref
+                ref_ok = True
+            except LinAlgError:
+                ref_ok = False
+            assert ok == ref_ok
+            # on failure both hold LAPACK's partial factor
+            assert test.work.tobytes(order="F") == ref.tobytes(order="F")
+            if ok:
+                x, _, _ = test.step(h, x0)
+                y = cho_solve_banded((ref, True), x0, check_finite=False)
+                y /= np.linalg.norm(y)
+                assert x.tobytes() == y.tobytes()
+            outcomes.append(ok)
+        assert outcomes == [True, False, False]
+
+    def test_illegal_argument_is_not_read_as_indefinite(self, monkeypatch):
+        """dpbtrf's info < 0 (an empty band here) raises, not False."""
+        real = eigen._dpbtrf
+        monkeypatch.setattr(eigen, "_dpbtrf", lambda ab, **kw: real(
+            np.zeros((0, ab.shape[1]), order="F"), **kw))
+        test = ShiftTest(sector_matrix(8, 0.5, "dcs", 6, "even").band())
+        with pytest.raises(ValueError, match="illegal value in argument 3 of dpbtrf"):
+            test.below_spectrum(test.lowest - 1.0)
 
 
 class TestLowestPair:
