@@ -7,11 +7,9 @@ from .model import ModelParams, critical_coupling
 from .dcs_basis import OverlapKernel, overlap_kernel
 from .hamiltonian import (
     BlockHamiltonian,
-    ParityOperator,
     ProjectedHamiltonian,
     assemble_dcs,
     assemble_dfs,
-    parity_operator,
     project_parity,
 )
 from .eigen import GroundState, ground_state
@@ -19,20 +17,16 @@ from .observables import ConvergedResult, converge, spin_expectations
 from .scaling import (
     ExponentFit,
     ScalingSeries,
-    berry_deviation_series,
-    concurrence_deviation_series,
-    energy_deviation_series,
+    deviation_series,
     extrapolate_exponent,
 )
 
 __all__ = [
     "ModelParams", "critical_coupling",
     "OverlapKernel", "overlap_kernel",
-    "BlockHamiltonian", "ParityOperator", "ProjectedHamiltonian",
-    "assemble_dcs", "assemble_dfs", "parity_operator", "project_parity",
+    "BlockHamiltonian", "ProjectedHamiltonian",
+    "assemble_dcs", "assemble_dfs", "project_parity",
     "GroundState", "ground_state",
     "ConvergedResult", "converge", "spin_expectations",
-    "ExponentFit", "ScalingSeries", "berry_deviation_series",
-    "concurrence_deviation_series", "energy_deviation_series",
-    "extrapolate_exponent",
+    "ExponentFit", "ScalingSeries", "deviation_series", "extrapolate_exponent",
 ]

@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from .errors import ConfigError, ConvergenceError, DimensionCapError, FitError
 from .hamiltonian import assemble_dcs, assemble_dfs, dump_coo, project_parity
@@ -27,44 +26,17 @@ from .observables import CSV_COLUMNS, DEFAULT_SCHEDULE, OBSERVABLES, converge, r
 from .scaling import (
     MIN_SERIES_POINTS,
     SCALING_SCHEDULE,
-    berry_deviation_series,
-    concurrence_deviation_series,
-    energy_deviation_series,
+    SERIES,
+    deviation_series,
     extrapolate_exponent,
+    observable_sweep,
     run_jobs,
 )
 from .store import CSV_SCHEMA_VERSION, ResultStore, config_digest
 
-__all__ = ["main", "build_parser", "RunConfig"]
+__all__ = ["main", "build_parser"]
 
 CSV_BANNER = f"# dicke-ed csv v{CSV_SCHEMA_VERSION}"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One command invocation, fully serializable.
-
-    ``digest`` covers everything that can change the numbers; the output
-    directory and worker count are carried but excluded (worker count only
-    affects wall time, never values).
-    """
-
-    command: str
-    options: dict
-    out_dir: str | None = None
-    workers: int = 1
-
-    @property
-    def digest(self) -> str:
-        return config_digest({"command": self.command, **self.options})
-
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "options": self.options,
-            "out_dir": self.out_dir,
-            "workers": self.workers,
-        }
 
 
 def _fmt(value) -> str:
@@ -275,74 +247,75 @@ def build_parser() -> argparse.ArgumentParser:
 
     scal = subs.add_parser("scaling", help="finite-size scaling series and exponents")
     _add_common(scal)
-    scal.add_argument("--observable", choices=("energy", "berry", "concurrence"),
-                      required=True)
+    scal.add_argument("--observable", choices=tuple(SERIES), required=True)
     scal.add_argument("--D", dest="big_d", required=True,
                       help="comma list of delta/omega ratios")
     scal.add_argument("--N", dest="n_range", default="16..1024",
                       help="system sizes (comma list or a..b doublings)")
     scal.add_argument("--omega", type=float, default=1.0)
     scal.add_argument("--threshold", type=float, default=None,
-                      help="per-point convergence threshold (default 1e-8 energy, 1e-6 rest)")
+                      help="per-point convergence threshold (default " + ", ".join(
+                          f"{t:g} {obs}" for obs, (_, t) in SERIES.items()) + ")")
     scal.add_argument("--c-inf", default="fit",
                       help="'fit' or an explicit thermodynamic concurrence value")
     return parser
 
 
-def _emit(store: ResultStore, cfg: RunConfig, files: dict, wall_s: float) -> None:
-    """Persist output files + manifest entry, then print the primary file.
+def _run_cached(args, command: str, options: dict, compute) -> int:
+    """Re-emit the stored run of this configuration, or compute and store it.
 
-    ``files`` maps file-name suffixes to contents, the primary file first.
+    ``compute()`` returns the output files (file-name suffix -> text, the
+    primary file first, which goes to stdout) and summary lines that go to
+    stderr on a cold run only.  The digest covers ``command`` and ``options``;
+    the store root and worker count are recorded but never change the numbers.
     """
-    stem = store.output_stem(cfg.command, cfg.digest)
+    digest = config_digest({"command": command, **options})
+    store = ResultStore(args.out_dir)
+    entry = store.lookup(digest)
+    if entry is not None:
+        sys.stderr.write(f"cache hit: {digest} ({entry['timestamp']})\n")
+        sys.stdout.write(store.read_text(entry["files"][0]))
+        return 0
+    t0 = time.monotonic()
+    files, notes = compute()
+    wall_s = time.monotonic() - t0
+    stem = store.output_stem(command, digest)
     for suffix, text in files.items():
         store.write_text(stem + suffix, text)
-    store.record(cfg.digest, cfg.command, [stem + suffix for suffix in files],
-                 wall_s, cfg.as_dict())
+    config = {"command": command, "options": options,
+              "out_dir": args.out_dir, "workers": args.workers}
+    store.record(digest, command, [stem + suffix for suffix in files], wall_s, config)
     sys.stdout.write(next(iter(files.values())))
-
-
-def _cache_hit(store: ResultStore, cfg: RunConfig) -> bool:
-    entry = store.lookup(cfg.digest)
-    if entry is None:
-        return False
-    primary = entry["files"][0]
-    sys.stderr.write(f"cache hit: {cfg.digest} ({entry['timestamp']})\n")
-    sys.stdout.write(store.read_text(primary))
-    return True
+    for line in notes:
+        sys.stderr.write(line + "\n")
+    return 0
 
 
 def cmd_solve(args) -> int:
     params = _params_from_args(args)
     schedule = parse_schedule(args.ntr_schedule) if args.ntr_schedule else DEFAULT_SCHEDULE
     track = tuple(t.strip() for t in args.track.split(",") if t.strip())
-    cfg = RunConfig(
-        command="solve",
-        options={
-            "n_atoms": params.n_atoms, "omega": params.omega,
-            "delta": params.delta, "lambda": params.lam,
-            "threshold": args.threshold, "schedule": list(schedule),
-            "track": list(track), "parity": args.parity, "seed": args.seed,
-            "solver_tol": args.solver_tol, "dense": bool(args.dense_oracle),
-        },
-        out_dir=args.out_dir, workers=args.workers,
-    )
-    store = ResultStore(args.out_dir)
-    if _cache_hit(store, cfg):
-        return 0
-    t0 = time.monotonic()
-    res = converge(
-        params, threshold=args.threshold, schedule=schedule, track=track,
-        sector=args.parity, solver_tol=args.solver_tol, seed=args.seed,
-        dense=args.dense_oracle, max_dim=args.max_dim,
-    )
-    text = csv_text(CSV_COLUMNS, [result_row(res)])
-    if args.dump_matrix:
-        h = assemble_dcs(params, res.n_tr_used, max_dim=args.max_dim)
-        with open(args.dump_matrix, "w") as fh:
-            dump_coo(h, fh)
-    _emit(store, cfg, {".csv": text}, time.monotonic() - t0)
-    return 0
+    options = {
+        "n_atoms": params.n_atoms, "omega": params.omega,
+        "delta": params.delta, "lambda": params.lam,
+        "threshold": args.threshold, "schedule": list(schedule),
+        "track": list(track), "parity": args.parity, "seed": args.seed,
+        "solver_tol": args.solver_tol, "dense": bool(args.dense_oracle),
+    }
+
+    def compute():
+        res = converge(
+            params, threshold=args.threshold, schedule=schedule, track=track,
+            sector=args.parity, solver_tol=args.solver_tol, seed=args.seed,
+            dense=args.dense_oracle, max_dim=args.max_dim,
+        )
+        if args.dump_matrix:
+            h = assemble_dcs(params, res.n_tr_used, max_dim=args.max_dim)
+            with open(args.dump_matrix, "w") as fh:
+                dump_coo(h, fh)
+        return {".csv": csv_text(CSV_COLUMNS, [result_row(res)])}, []
+
+    return _run_cached(args, "solve", options, compute)
 
 
 def _compare_cell(job) -> dict:
@@ -370,32 +343,26 @@ def cmd_compare(args) -> int:
     params = _params_from_args(args)
     lambdas = parse_float_list(args.lambdas)
     cases = parse_cases(args.cases)
-    cfg = RunConfig(
-        command="compare",
-        options={
-            "n_atoms": params.n_atoms, "omega": params.omega,
-            "delta": params.delta, "lambdas": lambdas,
-            "cases": [list(c) for c in cases], "parity": args.parity,
-            "seed": args.seed, "solver_tol": args.solver_tol,
-            "dense": bool(args.dense_oracle),
-        },
-        out_dir=args.out_dir, workers=args.workers,
-    )
-    store = ResultStore(args.out_dir)
-    if _cache_hit(store, cfg):
-        return 0
-    t0 = time.monotonic()
-    jobs = [
-        (params.n_atoms, params.omega, params.delta, lam, basis, n_tr,
-         args.parity, args.seed, args.solver_tol, bool(args.dense_oracle),
-         args.max_dim)
-        for lam in lambdas for (basis, n_tr) in cases
-    ]
-    rows = run_jobs(_compare_cell, jobs, args.workers)
-    columns = ("lambda", "basis", "n_tr", "E0", "E0_scaled", "status")
-    text = csv_text(columns, rows)
-    _emit(store, cfg, {".csv": text}, time.monotonic() - t0)
-    return 0
+    options = {
+        "n_atoms": params.n_atoms, "omega": params.omega,
+        "delta": params.delta, "lambdas": lambdas,
+        "cases": [list(c) for c in cases], "parity": args.parity,
+        "seed": args.seed, "solver_tol": args.solver_tol,
+        "dense": bool(args.dense_oracle),
+    }
+
+    def compute():
+        jobs = [
+            (params.n_atoms, params.omega, params.delta, lam, basis, n_tr,
+             args.parity, args.seed, args.solver_tol, bool(args.dense_oracle),
+             args.max_dim)
+            for lam in lambdas for (basis, n_tr) in cases
+        ]
+        rows = run_jobs(_compare_cell, jobs, args.workers)
+        columns = ("lambda", "basis", "n_tr", "E0", "E0_scaled", "status")
+        return {".csv": csv_text(columns, rows)}, []
+
+    return _run_cached(args, "compare", options, compute)
 
 
 def _converge_lambda_point(job) -> list:
@@ -418,88 +385,66 @@ def _converge_lambda_point(job) -> list:
 
 
 def cmd_converge(args) -> int:
-    store = ResultStore(args.out_dir)
-    t0 = time.monotonic()
     if args.at_critical:
         if not args.n_range:
             raise ConfigError("--at-critical needs --N")
         n_list = parse_n_list(args.n_range)
         omega = args.omega if args.omega is not None else 1.0
         delta = args.delta if args.delta is not None else 1.0
-        cfg = RunConfig(
-            command="converge",
-            options={
-                "mode": "at_critical", "omega": omega,
-                "delta": delta, "n_list": n_list,
-                "threshold": args.threshold, "seed": args.seed,
-                "solver_tol": args.solver_tol,
-            },
-            out_dir=args.out_dir, workers=args.workers,
-        )
-        if _cache_hit(store, cfg):
-            return 0
-        lam_c = critical_coupling(omega, delta)
-        rows = []
-        for n in n_list:
-            res = converge(
-                ModelParams(n, omega, delta, lam_c),
-                threshold=args.threshold, schedule=SCALING_SCHEDULE,
-                track=("e0",), solver_tol=args.solver_tol, seed=args.seed,
+        if not (omega > 0.0 and delta > 0.0):
+            raise ConfigError(f"--omega and --delta must be positive, got {omega}, {delta}")
+        options = {
+            "mode": "at_critical", "omega": omega,
+            "delta": delta, "n_list": n_list,
+            "threshold": args.threshold, "seed": args.seed,
+            "solver_tol": args.solver_tol,
+        }
+
+        def compute():
+            lam_c = critical_coupling(omega, delta)
+            sweep = observable_sweep(
+                delta, n_list, lam=lam_c, omega=omega, threshold=args.threshold,
+                seed=args.seed, solver_tol=args.solver_tol, workers=args.workers,
             )
-            rows.append({
-                "N": n, "lambda": lam_c, "ntr_used": res.n_tr_used,
-                "E0": res.energy,
-            })
-        text = csv_text(("N", "lambda", "ntr_used", "E0"), rows)
-        _emit(store, cfg, {".csv": text}, time.monotonic() - t0)
-        used = [r["ntr_used"] for r in rows]
-        mono = all(b <= a for a, b in zip(used, used[1:]))
-        sys.stderr.write(f"required n_tr {used} non-increasing: {mono}\n")
-        return 0
+            rows = [{"N": n, "lambda": lam_c, "ntr_used": row["n_tr_used"], "E0": row["e0"]}
+                    for n, row in zip(n_list, sweep)]
+            used = [r["ntr_used"] for r in rows]
+            mono = all(b <= a for a, b in zip(used, used[1:]))
+            return ({".csv": csv_text(("N", "lambda", "ntr_used", "E0"), rows)},
+                    [f"required n_tr {used} non-increasing: {mono}"])
+
+        return _run_cached(args, "converge", options, compute)
 
     if not args.lambdas:
         raise ConfigError("converge needs --lambdas (or --at-critical with --N)")
     params = _params_from_args(args)
     lambdas = parse_float_list(args.lambdas)
     ntr_list = list(parse_schedule(args.ntr_list))
-    cfg = RunConfig(
-        command="converge",
-        options={
-            "mode": "lambda_map", "n_atoms": params.n_atoms,
-            "omega": params.omega, "delta": params.delta,
-            "lambdas": lambdas, "ntr_list": ntr_list,
-            "threshold": args.threshold, "seed": args.seed,
-            "solver_tol": args.solver_tol,
-        },
-        out_dir=args.out_dir, workers=args.workers,
-    )
-    if _cache_hit(store, cfg):
-        return 0
-    jobs = [
-        (params.n_atoms, params.omega, params.delta, lam, ntr_list,
-         args.threshold, args.seed, args.solver_tol)
-        for lam in lambdas
-    ]
-    nested = run_jobs(_converge_lambda_point, jobs, args.workers)
-    rows = [row for group in nested for row in group]
-    text = csv_text(("lambda", "n_tr", "E0", "E0_ref", "rel_dev"), rows)
-    _emit(store, cfg, {".csv": text}, time.monotonic() - t0)
-    lam_c = critical_coupling(params.omega, params.delta)
-    for n_tr in ntr_list:
-        sub = [r for r in rows if r["n_tr"] == n_tr]
-        peak = max(sub, key=lambda r: r["rel_dev"])
-        sys.stderr.write(
-            f"deviation peak n_tr={n_tr}: lambda={peak['lambda']:.6g} "
-            f"(lambda/lambda_c={peak['lambda'] / lam_c:.4f})\n"
-        )
-    return 0
+    options = {
+        "mode": "lambda_map", "n_atoms": params.n_atoms,
+        "omega": params.omega, "delta": params.delta,
+        "lambdas": lambdas, "ntr_list": ntr_list,
+        "threshold": args.threshold, "seed": args.seed,
+        "solver_tol": args.solver_tol,
+    }
 
+    def compute():
+        jobs = [
+            (params.n_atoms, params.omega, params.delta, lam, ntr_list,
+             args.threshold, args.seed, args.solver_tol)
+            for lam in lambdas
+        ]
+        nested = run_jobs(_converge_lambda_point, jobs, args.workers)
+        rows = [row for group in nested for row in group]
+        lam_c = critical_coupling(params.omega, params.delta)
+        notes = []
+        for n_tr in ntr_list:
+            peak = max((r for r in rows if r["n_tr"] == n_tr), key=lambda r: r["rel_dev"])
+            notes.append(f"deviation peak n_tr={n_tr}: lambda={peak['lambda']:.6g} "
+                         f"(lambda/lambda_c={peak['lambda'] / lam_c:.4f})")
+        return {".csv": csv_text(("lambda", "n_tr", "E0", "E0_ref", "rel_dev"), rows)}, notes
 
-_SERIES_BUILDERS = {
-    "energy": energy_deviation_series,
-    "berry": berry_deviation_series,
-    "concurrence": concurrence_deviation_series,
-}
+    return _run_cached(args, "converge", options, compute)
 
 
 def cmd_scaling(args) -> int:
@@ -511,68 +456,59 @@ def cmd_scaling(args) -> int:
         raise ConfigError(f"--D values and --omega must be positive, got {d_list}, {args.omega}")
     threshold = args.threshold
     if threshold is None:
-        threshold = 1e-8 if args.observable == "energy" else 1e-6
+        threshold = SERIES[args.observable][1]
     c_inf = args.c_inf
     if c_inf != "fit":
         try:
             c_inf = float(c_inf)
         except ValueError as exc:
             raise ConfigError(f"--c-inf must be 'fit' or a number, got {c_inf!r}") from exc
-    cfg = RunConfig(
-        command="scaling",
-        options={
-            "observable": args.observable, "D": d_list, "N": n_list,
-            "omega": args.omega, "threshold": threshold,
-            "c_inf": c_inf if isinstance(c_inf, str) else float(c_inf),
-            "seed": args.seed, "solver_tol": args.solver_tol,
-        },
-        out_dir=args.out_dir, workers=args.workers,
-    )
-    store = ResultStore(args.out_dir)
-    if _cache_hit(store, cfg):
-        return 0
-    t0 = time.monotonic()
-    series_rows, slope_rows, summaries = [], [], []
-    for big_d in d_list:
-        kwargs = {"omega": args.omega, "threshold": threshold,
-                  "seed": args.seed, "solver_tol": args.solver_tol,
-                  "workers": args.workers}
-        if args.observable == "concurrence":
-            kwargs["c_inf"] = c_inf
-        series = _SERIES_BUILDERS[args.observable](big_d, tuple(n_list), **kwargs)
-        fit = extrapolate_exponent(series)
-        for n, v, ntr in zip(series.n_values, series.values, series.meta["n_tr_used"]):
-            series_rows.append({
-                "observable": args.observable, "D": big_d,
-                "lambda": series.coupling, "N": n, "value": v, "ntr_used": ntr,
-            })
-        for x, s in zip(fit.inv_n_mid, fit.slopes):
-            slope_rows.append({
-                "observable": args.observable, "D": big_d,
-                "inv_n_mid": x, "slope": s,
-            })
-        extra = ""
-        if args.observable == "energy":
-            side = "below" if all(v < 0 for v in series.meta["signed"]) else "mixed"
-            extra = f" approach={side}"
-        if args.observable == "concurrence":
-            extra = (f" c_inf={series.meta['c_inf']:.6g}"
-                     f" fit_beta={series.meta.get('beta', float('nan')):.4f}")
-        summaries.append(
-            f"{args.observable} D={big_d:g}: exponent {fit.exponent:+.4f} "
-            f"+- {fit.uncertainty:.4f} (correction_power={fit.correction_power:.2f},"
-            f" power_law={fit.power_law_ok}){extra}"
-        )
-    files = {
-        "-series.csv": csv_text(
-            ("observable", "D", "lambda", "N", "value", "ntr_used"), series_rows),
-        "-slopes.csv": csv_text(
-            ("observable", "D", "inv_n_mid", "slope"), slope_rows),
+    options = {
+        "observable": args.observable, "D": d_list, "N": n_list,
+        "omega": args.omega, "threshold": threshold, "c_inf": c_inf,
+        "seed": args.seed, "solver_tol": args.solver_tol,
     }
-    _emit(store, cfg, files, time.monotonic() - t0)
-    for line in summaries:
-        sys.stderr.write(line + "\n")
-    return 0
+
+    def compute():
+        series_rows, slope_rows, notes = [], [], []
+        for big_d in d_list:
+            series = deviation_series(
+                args.observable, big_d, tuple(n_list), omega=args.omega,
+                threshold=threshold, c_inf=c_inf, seed=args.seed,
+                solver_tol=args.solver_tol, workers=args.workers,
+            )
+            fit = extrapolate_exponent(series)
+            for n, v, ntr in zip(series.n_values, series.values, series.meta["n_tr_used"]):
+                series_rows.append({
+                    "observable": args.observable, "D": big_d,
+                    "lambda": series.coupling, "N": n, "value": v, "ntr_used": ntr,
+                })
+            for x, s in zip(fit.inv_n_mid, fit.slopes):
+                slope_rows.append({
+                    "observable": args.observable, "D": big_d,
+                    "inv_n_mid": x, "slope": s,
+                })
+            extra = ""
+            if args.observable == "energy":
+                side = "below" if all(v < 0 for v in series.meta["signed"]) else "mixed"
+                extra = f" approach={side}"
+            if args.observable == "concurrence":
+                extra = (f" c_inf={series.meta['c_inf']:.6g}"
+                         f" fit_beta={series.meta.get('beta', float('nan')):.4f}")
+            notes.append(
+                f"{args.observable} D={big_d:g}: exponent {fit.exponent:+.4f} "
+                f"+- {fit.uncertainty:.4f} (correction_power={fit.correction_power:.2f},"
+                f" power_law={fit.power_law_ok}){extra}"
+            )
+        files = {
+            "-series.csv": csv_text(
+                ("observable", "D", "lambda", "N", "value", "ntr_used"), series_rows),
+            "-slopes.csv": csv_text(
+                ("observable", "D", "inv_n_mid", "slope"), slope_rows),
+        }
+        return files, notes
+
+    return _run_cached(args, "scaling", options, compute)
 
 
 _COMMANDS = {

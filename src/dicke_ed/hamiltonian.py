@@ -44,11 +44,9 @@ from .model import ModelParams
 
 __all__ = [
     "BlockHamiltonian",
-    "ParityOperator",
     "ProjectedHamiltonian",
     "assemble_dcs",
     "assemble_dfs",
-    "parity_operator",
     "project_parity",
     "dump_coo",
     "gershgorin",
@@ -127,11 +125,6 @@ class BlockHamiltonian:
 
     def to_dense(self) -> np.ndarray:
         return _band_to_dense(self.band())
-
-    def norm_estimate(self) -> float:
-        """Gershgorin upper bound on the spectral radius."""
-        lowest, highest = gershgorin(self.band())
-        return max(-lowest, highest)
 
 
 def _check_dim(params: ModelParams, n_tr: int, max_dim: int | None):
@@ -227,32 +220,6 @@ def assemble_dfs(params: ModelParams, n_tr: int, max_dim: int | None = None) -> 
         spin_coup=-params.delta * params.spin_ladder(),
         boson_amp=boson_amp,
     )
-
-
-@dataclass(frozen=True)
-class ParityOperator:
-    """Signed sector-reversal: (n, k) -> (-n, k) with amplitude (-1)^k."""
-
-    n_atoms: int
-    n_tr: int
-
-    @property
-    def dim(self) -> int:
-        return (self.n_atoms + 1) * (self.n_tr + 1)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        X = x.reshape(self.n_atoms + 1, self.n_tr + 1)
-        signs = np.where(np.arange(self.n_tr + 1) % 2, -1.0, 1.0)
-        return (X[::-1] * signs).reshape(-1)
-
-    def to_dense(self) -> np.ndarray:
-        return np.column_stack(
-            [self.apply(col) for col in np.eye(self.dim)]
-        ).T
-
-
-def parity_operator(n_atoms: int, n_tr: int) -> ParityOperator:
-    return ParityOperator(n_atoms=n_atoms, n_tr=n_tr)
 
 
 class ProjectedHamiltonian:
@@ -405,9 +372,6 @@ class ProjectedHamiltonian:
 
     def to_dense(self) -> np.ndarray:
         return _band_to_dense(self.band())
-
-    def norm_estimate(self) -> float:
-        return self.full.norm_estimate()
 
 
 def project_parity(h: BlockHamiltonian, sector: str) -> ProjectedHamiltonian:

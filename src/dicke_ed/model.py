@@ -104,12 +104,6 @@ class ModelParams:
         """Same parameters with the coupling set to the critical value."""
         return ModelParams(self.n_atoms, self.omega, self.delta, self.lambda_c)
 
-    def with_coupling(self, lam: float) -> "ModelParams":
-        return ModelParams(self.n_atoms, self.omega, self.delta, lam)
-
-    def with_atoms(self, n_atoms: int) -> "ModelParams":
-        return ModelParams(n_atoms, self.omega, self.delta, self.lam)
-
 
 _CONFIG_KEYS = {"n_atoms", "omega", "delta", "lambda", "alpha"}
 

@@ -22,16 +22,18 @@ __all__ = [
     "ScalingSeries",
     "ExponentFit",
     "DEFAULT_N_GRID",
+    "SERIES",
     "observable_sweep",
-    "energy_deviation_series",
-    "berry_deviation_series",
-    "concurrence_deviation_series",
+    "deviation_series",
     "extrapolate_exponent",
     "fit_concurrence_limit",
 ]
 
 DEFAULT_N_GRID = tuple(2**p for p in range(4, 11))
 MIN_SERIES_POINTS = 4  # sizes an exponent fit needs
+
+# observable -> (tracked key, default per-point convergence threshold)
+SERIES = {"energy": ("e0", 1e-8), "berry": ("b_n", 1e-6), "concurrence": ("c_n", 1e-6)}
 
 # The stock truncation schedule topped up for the slowest corner of the
 # scaling sweeps (small N deep in the adiabatic regime, e.g. D = 10 at
@@ -191,7 +193,7 @@ def _sweep_point(args) -> dict:
 
 
 def observable_sweep(
-    big_d: float,
+    delta: float,
     n_list,
     lam: float | None = None,
     omega: float = 1.0,
@@ -202,17 +204,16 @@ def observable_sweep(
     solver_tol: float = 1e-10,
     workers: int = 1,
 ) -> list[dict]:
-    """Converged observables for each N at fixed (D, coupling).
+    """Converged observables for each N at fixed (delta, coupling).
 
     Each row holds E0 alone when ``track`` is the energy alone, and every
     observable otherwise.
 
-    The coupling defaults to the critical one for (omega, delta = D*omega).
-    Points are independent jobs; results are returned in the order of
-    ``n_list`` regardless of completion order.  Solver failures propagate
-    with the offending N attached.
+    The coupling defaults to the critical one for (omega, delta); delta is
+    passed to the solver as given.  Points are independent jobs; results are
+    returned in the order of ``n_list`` regardless of completion order.
+    Solver failures propagate with the offending N attached.
     """
-    delta = big_d * omega
     if lam is None:
         lam = critical_coupling(omega, delta)
     jobs = [
@@ -231,62 +232,6 @@ def run_jobs(fn, jobs: list, workers: int) -> list:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, jobs))
     return [fn(job) for job in jobs]
-
-
-def energy_deviation_series(
-    big_d: float,
-    n_list=DEFAULT_N_GRID,
-    omega: float = 1.0,
-    threshold: float = 1e-8,
-    **kwargs,
-) -> ScalingSeries:
-    """|E0/(N*D*omega) + 1/2| versus N at the critical coupling.
-
-    The shift places the thermodynamic critical value at zero and the
-    magnitude makes the deviation log-log plottable; the signed values sit in
-    ``meta["signed"]``.  (The quantum zero-point shift puts the finite-size
-    energy *below* the thermodynamic value for every D, so the signed
-    deviation is negative.)
-    """
-    delta = big_d * omega
-    lam = critical_coupling(omega, delta)
-    rows = observable_sweep(
-        big_d, n_list, lam=lam, omega=omega, threshold=threshold,
-        track=("e0",), **kwargs,
-    )
-    signed = tuple(
-        row["e0"] / (n * big_d * omega) + 0.5 for n, row in zip(n_list, rows)
-    )
-    series = ScalingSeries(
-        big_d=big_d, coupling=lam, n_values=tuple(int(n) for n in n_list),
-        values=tuple(abs(v) for v in signed), observable="energy",
-        meta={"n_tr_used": [r["n_tr_used"] for r in rows], "signed": list(signed)},
-    )
-    series.check_positive()
-    return series
-
-
-def berry_deviation_series(
-    big_d: float,
-    n_list=DEFAULT_N_GRID,
-    omega: float = 1.0,
-    threshold: float = 1e-6,
-    **kwargs,
-) -> ScalingSeries:
-    """B_N versus N at the critical coupling (decays to zero as a power law)."""
-    delta = big_d * omega
-    lam = critical_coupling(omega, delta)
-    rows = observable_sweep(
-        big_d, n_list, lam=lam, omega=omega, threshold=threshold,
-        track=("b_n",), **kwargs,
-    )
-    series = ScalingSeries(
-        big_d=big_d, coupling=lam, n_values=tuple(int(n) for n in n_list),
-        values=tuple(row["b_n"] for row in rows), observable="berry",
-        meta={"n_tr_used": [r["n_tr_used"] for r in rows]},
-    )
-    series.check_positive()
-    return series
 
 
 _CORRECTION_POWER = 1.0 / 3.0
@@ -357,41 +302,58 @@ def fit_concurrence_limit(n_values, c_values, corrections: bool | None = None) -
     }
 
 
-def concurrence_deviation_series(
+def deviation_series(
+    observable: str,
     big_d: float,
     n_list=DEFAULT_N_GRID,
-    c_inf: float | str = "fit",
     omega: float = 1.0,
-    threshold: float = 1e-6,
+    threshold: float | None = None,
+    c_inf: float | str = "fit",
     **kwargs,
 ) -> ScalingSeries:
-    """C_inf - C_N versus N at the critical coupling.
+    """Positive deviation from the thermodynamic value versus N at the
+    critical coupling, for one observable of :data:`SERIES`.
 
-    ``c_inf`` is either "fit" (joint estimate of (C_inf, amplitude, exponent)
-    by least squares, the default, reported in ``meta``) or an externally
-    supplied number.
+    - ``"energy"``: |E0/(N*D*omega) + 1/2|.  The shift places the
+      thermodynamic critical value at zero; the signed values sit in
+      ``meta["signed"]``.  (The quantum zero-point shift puts the finite-size
+      energy *below* the thermodynamic value for every D, so the signed
+      deviation is negative.)
+    - ``"berry"``: B_N, which decays to zero as a power law.
+    - ``"concurrence"``: C_inf - C_N.  ``c_inf`` is either "fit" (joint
+      estimate of (C_inf, amplitude, exponent) by least squares, reported in
+      ``meta``) or an externally supplied number; other observables ignore it.
+
+    ``threshold`` defaults to the observable's entry in :data:`SERIES`; the
+    remaining keyword arguments go to :func:`observable_sweep`.
     """
+    if observable not in SERIES:
+        raise ValueError(f"unknown observable {observable!r}, expected one of {list(SERIES)}")
+    key, default_threshold = SERIES[observable]
     delta = big_d * omega
     lam = critical_coupling(omega, delta)
     rows = observable_sweep(
-        big_d, n_list, lam=lam, omega=omega, threshold=threshold,
-        track=("c_n",), **kwargs,
+        delta, n_list, lam=lam, omega=omega,
+        threshold=default_threshold if threshold is None else threshold,
+        track=(key,), **kwargs,
     )
-    c_vals = [row["c_n"] for row in rows]
-    meta = {"n_tr_used": [r["n_tr_used"] for r in rows], "c_values": list(c_vals)}
-    if c_inf == "fit":
-        fit = fit_concurrence_limit(n_list, c_vals)
-        c_limit = fit["c_inf"]
-        meta.update(fit)
-        meta["c_inf_mode"] = "fit"
+    raw = [row[key] for row in rows]
+    meta = {"n_tr_used": [r["n_tr_used"] for r in rows]}
+    if observable == "energy":
+        meta["signed"] = [e / (n * big_d * omega) + 0.5 for n, e in zip(n_list, raw)]
+        values = [abs(v) for v in meta["signed"]]
+    elif observable == "berry":
+        values = raw
     else:
-        c_limit = float(c_inf)
-        meta["c_inf"] = c_limit
-        meta["c_inf_mode"] = "supplied"
+        meta["c_values"] = raw
+        if c_inf == "fit":
+            meta.update(fit_concurrence_limit(n_list, raw), c_inf_mode="fit")
+        else:
+            meta.update(c_inf=float(c_inf), c_inf_mode="supplied")
+        values = [meta["c_inf"] - c for c in raw]
     series = ScalingSeries(
         big_d=big_d, coupling=lam, n_values=tuple(int(n) for n in n_list),
-        values=tuple(c_limit - c for c in c_vals), observable="concurrence",
-        meta=meta,
+        values=tuple(values), observable=observable, meta=meta,
     )
     series.check_positive()
     return series

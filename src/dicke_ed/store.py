@@ -14,9 +14,10 @@ A run whose config digest already appears in the manifest, recorded by the
 same package version and CSV schema, with its files still present, is a cache
 hit; callers re-emit the stored primary file so repeated identical
 invocations produce identical output.  Entries recorded by other code are
-ignored, so a hit never re-emits bytes another version computed.  Outputs are
-written to a temporary file and renamed into place, so an interrupted run
-leaves no partial CSV behind.
+ignored, so a hit never re-emits bytes another version computed.  Outputs and
+configs are written to a temporary file and renamed into place, so an
+interrupted run leaves no partial file behind; a manifest line torn by such a
+run is skipped (a cache miss) and the next entry starts on a fresh line.
 """
 
 import functools
@@ -57,6 +58,17 @@ def describe_version() -> str:
     return f"{__version__}+src.{digest.hexdigest()[:12]}"
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write to a temporary sibling and rename it into place."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 class ResultStore:
     def __init__(self, root: str | os.PathLike | None = None):
         if root is None:
@@ -66,14 +78,19 @@ class ResultStore:
         self.manifest = self.root / "manifest.jsonl"
 
     def entries(self) -> list[dict]:
+        """Manifest entries in file order, skipping any line that is not a
+        JSON object (blank, or torn by a run that died mid-append)."""
         if not self.manifest.exists():
             return []
         out = []
         with open(self.manifest) as fh:
             for line in fh:
-                line = line.strip()
-                if line:
-                    out.append(json.loads(line))
+                try:
+                    entry = json.loads(line)
+                except ValueError:
+                    continue
+                if isinstance(entry, dict):
+                    out.append(entry)
         return out
 
     def lookup(self, digest: str) -> dict | None:
@@ -100,12 +117,15 @@ class ResultStore:
             "files": files,
             "wall_s": round(wall_s, 3),
         }
-        cfg_name = f"{digest}.config.json"
-        cfg_path = self.root / cfg_name
+        cfg_path = self.root / f"{digest}.config.json"
         if not cfg_path.exists():
-            cfg_path.write_text(json.dumps(config, sort_keys=True, indent=1) + "\n")
-        with open(self.manifest, "a") as fh:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+            _write_atomic(cfg_path, json.dumps(config, sort_keys=True, indent=1) + "\n")
+        with open(self.manifest, "ab+") as fh:
+            if fh.seek(0, os.SEEK_END):
+                fh.seek(-1, os.SEEK_END)
+                if fh.read(1) != b"\n":  # end a line torn mid-append
+                    fh.write(b"\n")
+            fh.write((json.dumps(entry, sort_keys=True) + "\n").encode())
         return entry
 
     def output_stem(self, command: str, digest: str) -> str:
@@ -118,13 +138,7 @@ class ResultStore:
         path = self.root / name
         if path.exists() and path.read_text() != text:
             raise FileExistsError(f"refusing to overwrite {path} with different content")
-        tmp = path.with_name(f".{name}.{os.getpid()}.tmp")
-        try:
-            tmp.write_text(text)
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        _write_atomic(path, text)
         return path
 
     def read_text(self, name: str) -> str:

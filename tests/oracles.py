@@ -17,6 +17,7 @@ from scipy.linalg import eigh, expm
 from scipy.optimize import minimize
 
 from dicke_ed.dcs_basis import _RESCALE_HI, _RESCALE_LO, OverlapKernel
+from dicke_ed.hamiltonian import gershgorin
 from dicke_ed.observables import spin_expectations
 
 
@@ -418,3 +419,35 @@ class SectorIndex:
         if not (0 <= i <= int(round(2 * j))):
             raise ValueError(f"flat index {flat} out of range")
         return cls(n=i - j, k=k)
+
+
+@dataclass(frozen=True)
+class ParityOperator:
+    """Signed sector-reversal: (n, k) -> (-n, k) with amplitude (-1)^k."""
+
+    n_atoms: int
+    n_tr: int
+
+    @property
+    def dim(self) -> int:
+        return (self.n_atoms + 1) * (self.n_tr + 1)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        X = x.reshape(self.n_atoms + 1, self.n_tr + 1)
+        signs = np.where(np.arange(self.n_tr + 1) % 2, -1.0, 1.0)
+        return (X[::-1] * signs).reshape(-1)
+
+    def to_dense(self) -> np.ndarray:
+        return np.column_stack(
+            [self.apply(col) for col in np.eye(self.dim)]
+        ).T
+
+
+def parity_operator(n_atoms: int, n_tr: int) -> ParityOperator:
+    return ParityOperator(n_atoms=n_atoms, n_tr=n_tr)
+
+
+def norm_estimate(h) -> float:
+    """Gershgorin upper bound on the spectral radius of an assembled matrix."""
+    lowest, highest = gershgorin(h.band())
+    return max(-lowest, highest)

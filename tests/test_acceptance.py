@@ -22,22 +22,26 @@ from scipy.linalg import eigh
 
 from dicke_ed.cli import main as cli_main
 from dicke_ed.eigen import ground_state
-from dicke_ed.hamiltonian import assemble_dcs, assemble_dfs, parity_operator, project_parity
+from dicke_ed.hamiltonian import assemble_dcs, assemble_dfs, project_parity
 from dicke_ed.model import ModelParams, critical_coupling
 from dicke_ed.observables import converge, spin_expectations
 from dicke_ed.scaling import (
     SCALING_SCHEDULE,
     ScalingSeries,
-    berry_deviation_series,
-    concurrence_deviation_series,
-    energy_deviation_series,
+    deviation_series,
     extrapolate_exponent,
     fit_concurrence_limit,
     observable_sweep,
 )
 from dicke_ed.dcs_basis import overlap_kernel
 
-from oracles import displaced_overlap, kron_rotated, magnetization_x, unitarity_defect
+from oracles import (
+    displaced_overlap,
+    kron_rotated,
+    magnetization_x,
+    parity_operator,
+    unitarity_defect,
+)
 
 
 def report(tag: str, ok: bool, desc: str, detail: str = ""):
@@ -148,7 +152,7 @@ GRID = tuple(2**p for p in range(4, 11))
 def test_criterion_5_energy_exponent():
     results = {}
     for big_d in (0.1, 1.0, 10.0):
-        fit = extrapolate_exponent(energy_deviation_series(big_d, GRID))
+        fit = extrapolate_exponent(deviation_series("energy", big_d, GRID))
         results[big_d] = fit.exponent
     ok = all(-1.05 <= e <= -0.95 for e in results.values())
     report("5", ok, "energy finite-size exponent in [-1.05, -0.95] for D = 0.1, 1, 10",
@@ -158,7 +162,7 @@ def test_criterion_5_energy_exponent():
 def test_criterion_6_berry_exponent():
     results = {}
     for big_d in (0.1, 1.0, 5.0):
-        fit = extrapolate_exponent(berry_deviation_series(big_d, GRID))
+        fit = extrapolate_exponent(deviation_series("berry", big_d, GRID))
         results[big_d] = fit.exponent
     ok = all(-0.72 <= e <= -0.62 for e in results.values())
     report("6", ok, "polarization-deficit exponent in [-0.72, -0.62] for D = 0.1, 1, 5",
@@ -169,7 +173,7 @@ def test_criterion_7_concurrence_exponent_and_reconciliation():
     results = {}
     beta_full_d1 = None
     for big_d in (0.1, 1.0, 5.0):
-        series = concurrence_deviation_series(big_d, GRID)
+        series = deviation_series("concurrence", big_d, GRID)
         fit = extrapolate_exponent(series)
         results[big_d] = fit.exponent
         if big_d == 1.0:

@@ -8,9 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dicke_ed import cli, scaling
+from dicke_ed import cli
 from dicke_ed.cli import (
-    RunConfig,
     main,
     parse_cases,
     parse_float_list,
@@ -18,6 +17,7 @@ from dicke_ed.cli import (
     parse_schedule,
 )
 from dicke_ed.errors import ConfigError
+from dicke_ed.store import ResultStore
 
 
 def run(capsys, *argv):
@@ -61,13 +61,6 @@ class TestParsers:
         with pytest.raises(ConfigError):
             parser(bad)
 
-    def test_digest_stable_and_layout_free(self):
-        a = RunConfig("solve", {"n_atoms": 8, "lambda": 0.5})
-        b = RunConfig("solve", {"lambda": 0.5, "n_atoms": 8},
-                      out_dir="elsewhere", workers=7)
-        assert a.digest == b.digest
-        assert a.digest != RunConfig("solve", {"n_atoms": 9, "lambda": 0.5}).digest
-
 
 class TestSolve:
     def test_decoupled_row(self, tmp_path, capsys):
@@ -91,6 +84,23 @@ class TestSolve:
         assert "cache hit" in err2 and "cache hit" not in err1
         manifest = (tmp_path / "manifest.jsonl").read_text().strip().splitlines()
         assert len(manifest) == 1  # dedup: no second entry
+
+    def test_digest_free_of_workers_and_store(self, tmp_path, capsys):
+        """Worker count and store root never enter the digest; the model does."""
+        a, b = tmp_path / "a", tmp_path / "b"
+        code1, out1, _ = run(capsys, "solve", "--n-atoms", "8", "--lambda", "0.5",
+                             "--workers", "1", "--out-dir", str(a))
+        code2, out2, err2 = run(capsys, "solve", "--n-atoms", "8", "--lambda", "0.5",
+                                "--workers", "7", "--out-dir", str(a))
+        code3, out3, _ = run(capsys, "solve", "--lambda", "0.5", "--n-atoms", "8",
+                             "--workers", "3", "--out-dir", str(b))
+        assert code1 == code2 == code3 == 0
+        assert "cache hit" in err2 and out1 == out2 == out3
+        assert sorted(p.name for p in a.iterdir()) == sorted(p.name for p in b.iterdir())
+        assert run(capsys, "solve", "--n-atoms", "9", "--lambda", "0.5",
+                   "--workers", "1", "--out-dir", str(b))[0] == 0
+        digests = [e["digest"] for e in ResultStore(b).entries()]
+        assert len(digests) == len(set(digests)) == 2
 
     def test_manifest_contents(self, tmp_path, capsys):
         run(capsys, "solve", "--n-atoms", "4", "--lambda", "0.3",
@@ -254,6 +264,14 @@ class TestConvergeCommand:
         assert [r["N"] for r in rows] == ["16", "64"]
         assert "non-increasing" in err
 
+    def test_at_critical_workers_keep_bytes(self, tmp_path, capsys):
+        argv = ("converge", "--at-critical", "--omega", "0.3", "--delta", "0.7",
+                "--N", "16,32,64")
+        outs = [run(capsys, *argv, "--workers", w, "--out-dir", str(tmp_path / w))
+                for w in ("1", "2")]
+        assert outs[0] == outs[1]
+        assert outs[0][0] == 0
+
     def test_requires_grid(self, tmp_path, capsys):
         code, _, err = run(capsys, "converge", "--n-atoms", "8",
                            "--out-dir", str(tmp_path))
@@ -309,9 +327,8 @@ class TestBadNumbersExit2:
         def refuse(*args, **kwargs):
             raise AssertionError("a solve started")
 
-        monkeypatch.setattr(scaling, "observable_sweep", refuse)
-        monkeypatch.setattr(cli, "converge", refuse)
-        monkeypatch.setattr(cli, "run_jobs", refuse)
+        for name in ("converge", "run_jobs", "observable_sweep", "deviation_series"):
+            monkeypatch.setattr(cli, name, refuse)
 
     @pytest.mark.parametrize("argv,flag", [
         (argv, flag)
@@ -345,6 +362,13 @@ class TestBadNumbersExit2:
                              "--workers", "1", "--out-dir", str(tmp_path))
         assert code == 2 and out == ""
         assert "config error" in err and message in err
+
+    @pytest.mark.parametrize("flag,value", [("--omega", "0"), ("--delta", "-1")])
+    def test_bad_at_critical_energies(self, tmp_path, capsys, flag, value):
+        code, out, err = run(capsys, "converge", "--at-critical", "--N", "16,32",
+                             f"{flag}={value}", "--workers", "1", "--out-dir", str(tmp_path))
+        assert code == 2 and out == ""
+        assert "config error: --omega and --delta must be positive" in err
 
 
 class TestArgparseBehavior:

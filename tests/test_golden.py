@@ -1,8 +1,11 @@
-"""Golden CLI bytes: reruns must reproduce the checked-in stdout exactly.
+"""Golden CLI bytes: reruns must reproduce the checked-in outputs exactly.
 
 The files under ``tests/golden/`` were captured from ``dicke-ed`` runs with
-``--workers 1`` into an empty store.  A change that moves any printed digit
-fails here; a deliberate change must regenerate the file and say why.
+``--workers 1`` into an empty store.  Each case pins its stdout
+(``<case>.csv``); a ``converge`` or ``scaling`` case also pins its stderr
+summary (``<case>.stderr``), and a ``scaling`` case its slopes file
+(``<case>-slopes.csv``).  A change that moves any printed digit fails here;
+a deliberate change must regenerate the file and say why.
 """
 
 from pathlib import Path
@@ -24,9 +27,15 @@ CASES = {
     "solve-n1024-critical.csv": ["solve", "--n-atoms", "1024", "--omega", "1",
                                  "--delta", "1", "--lambda", "0.5"],
     "converge-critical-n16-128.csv": ["converge", "--at-critical", "--N", "16..128"],
+    "converge-critical-w0.3-d0.7.csv": ["converge", "--at-critical", "--omega", "0.3",
+                                        "--delta", "0.7", "--N", "16,32,64"],
     "converge-n32.csv": ["converge", "--n-atoms", "32", "--lambdas", "0:2:0.5"],
     "scaling-energy-d10.csv": ["scaling", "--observable", "energy", "--D", "10",
                                "--N", "16..128"],
+    "scaling-energy-d0.5-2-w0.7.csv": ["scaling", "--observable", "energy", "--D", "0.5,2",
+                                       "--omega", "0.7", "--N", "16..128"],
+    "scaling-concurrence-d1-cinf0.3.csv": ["scaling", "--observable", "concurrence",
+                                           "--D", "1", "--N", "16..128", "--c-inf", "0.3"],
     **{f"scaling-{obs}-d1.csv": ["scaling", "--observable", obs, "--D", "1",
                                  "--N", "16..128"]
        for obs in ("energy", "berry", "concurrence")},
@@ -37,4 +46,11 @@ CASES = {
 def test_cli_stdout_matches_golden(name, tmp_path, capsys):
     argv = CASES[name] + ["--workers", "1", "--out-dir", str(tmp_path)]
     assert main(argv) == 0
-    assert capsys.readouterr().out == (GOLDEN / name).read_text()
+    captured = capsys.readouterr()
+    assert captured.out == (GOLDEN / name).read_text()
+    stem = name.removesuffix(".csv")
+    if argv[0] in ("converge", "scaling"):
+        assert captured.err == (GOLDEN / f"{stem}.stderr").read_text()
+    if argv[0] == "scaling":
+        (slopes,) = tmp_path.glob("*-slopes.csv")
+        assert slopes.read_text() == (GOLDEN / f"{stem}-slopes.csv").read_text()

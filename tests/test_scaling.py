@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from dicke_ed.errors import ConvergenceError, FitError
-from dicke_ed.model import critical_coupling
+from dicke_ed.model import ModelParams, critical_coupling
+from dicke_ed.observables import converge
 from dicke_ed.scaling import (
+    SCALING_SCHEDULE,
     ScalingSeries,
-    berry_deviation_series,
-    concurrence_deviation_series,
+    deviation_series,
     extrapolate_exponent,
     fit_concurrence_limit,
     observable_sweep,
@@ -128,7 +129,7 @@ class TestPhysicalSeries:
         assert fit.power_law_ok
 
     def test_berry_series_at_critical(self):
-        ser = berry_deviation_series(1.0, (16, 32, 64, 128, 256))
+        ser = deviation_series("berry", 1.0, (16, 32, 64, 128, 256))
         assert all(v > 0 for v in ser.values)
         assert ser.coupling == pytest.approx(0.5)
         slopes = ser.local_slopes()
@@ -137,11 +138,11 @@ class TestPhysicalSeries:
 
     def test_concurrence_series_modes(self):
         n_list = (16, 32, 64, 128, 256)
-        ser = concurrence_deviation_series(1.0, n_list)
+        ser = deviation_series("concurrence", 1.0, n_list)
         assert ser.meta["c_inf_mode"] == "fit"
         assert all(v > 0 for v in ser.values)
-        supplied = concurrence_deviation_series(
-            1.0, n_list, c_inf=ser.meta["c_inf"] + 0.01
+        supplied = deviation_series(
+            "concurrence", 1.0, n_list, c_inf=ser.meta["c_inf"] + 0.01
         )
         assert supplied.meta["c_inf_mode"] == "supplied"
         expected = ser.values[0] + 0.01
@@ -156,6 +157,17 @@ class TestPhysicalSeries:
         beta_all = fit_concurrence_limit((64, 128, 256, 512, 1024), c)["beta"]
         beta_drop = fit_concurrence_limit((128, 256, 512, 1024), c[1:])["beta"]
         assert abs(beta_all - beta_drop) <= 0.03
+
+    def test_sweep_passes_delta_through(self):
+        """The at-critical sweep solves at delta as given, bit for bit: a
+        D = delta/omega round trip would move E0 (0.7/0.3*0.3 != 0.7)."""
+        omega, delta, n_list = 0.3, 0.7, (16, 32, 64)
+        lam = critical_coupling(omega, delta)
+        rows = observable_sweep(delta, n_list, lam=lam, omega=omega, threshold=1e-6)
+        for n, row in zip(n_list, rows):
+            ref = converge(ModelParams(n, omega, delta, lam), threshold=1e-6,
+                           schedule=SCALING_SCHEDULE, track=("e0",))
+            assert row["e0"] == ref.energy
 
     def test_sweep_reproducible(self):
         a = observable_sweep(1.0, (16, 32), threshold=1e-8, seed=1)

@@ -1,3 +1,4 @@
+import json
 import os
 import shutil
 import subprocess
@@ -107,6 +108,40 @@ def test_failed_write_leaves_no_file(tmp_path, monkeypatch, fail_at):
     with pytest.raises((UnicodeEncodeError, OSError)):
         rs.write_text("solve-x.csv", text)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("bad_line", ['{"digest": "abc", "comm', "[1,2]\n"])
+def test_unreadable_manifest_line_is_a_miss(tmp_path, capsys, bad_line):
+    """A manifest line torn by a run that died mid-append, or one that is not
+    an object, reads as a cache miss: the rerun exits 0 with a cold run's
+    bytes, and its own entry starts a fresh line, so the next run hits."""
+    argv = ["solve", "--n-atoms", "4", "--lambda", "0.3", "--workers", "1", "--out-dir"]
+    assert main(argv + [str(tmp_path / "cold")]) == 0
+    cold = capsys.readouterr().out
+    damaged = tmp_path / "damaged"
+    damaged.mkdir()
+    (damaged / "manifest.jsonl").write_text(bad_line)
+    assert main(argv + [str(damaged)]) == 0
+    rerun = capsys.readouterr()
+    assert rerun.out == cold and "cache hit" not in rerun.err
+    assert main(argv + [str(damaged)]) == 0
+    hit = capsys.readouterr()
+    assert hit.out == cold and "cache hit" in hit.err
+    assert len(ResultStore(damaged).entries()) == 1
+
+
+def test_config_write_is_atomic_and_kept(tmp_path, monkeypatch):
+    rs = ResultStore(tmp_path)
+    with monkeypatch.context() as m:
+        def broken_replace(src, dst):
+            raise OSError("interrupted")
+        m.setattr(store.os, "replace", broken_replace)
+        with pytest.raises(OSError):
+            rs.record("a" * 16, "solve", [], 0.1, {"run": 1})
+    assert list(tmp_path.iterdir()) == []
+    rs.record("a" * 16, "solve", [], 0.1, {"run": 1})
+    rs.record("a" * 16, "solve", [], 0.1, {"run": 2})
+    assert json.loads((tmp_path / f"{'a' * 16}.config.json").read_text()) == {"run": 1}
 
 
 def test_version_change_with_new_output_reruns_cold(tmp_path, monkeypatch, capsys):
