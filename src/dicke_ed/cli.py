@@ -154,7 +154,8 @@ def read_config_file(path: str) -> dict:
 _MODEL_KEYS = ("n_atoms", "omega", "delta", "lambda", "alpha")
 
 
-def _params_from_args(args) -> ModelParams:
+def _model_mapping(args) -> dict:
+    """The model keys of ``--config``, overridden by the explicit flags."""
     mapping = {}
     if getattr(args, "config", None):
         file_map = read_config_file(args.config)
@@ -178,7 +179,7 @@ def _params_from_args(args) -> ModelParams:
             raise ConfigError("give either --lambda or --alpha, not both")
         mapping.pop("lambda", None)
         mapping["alpha"] = args.alpha
-    return params_from_mapping(mapping)
+    return mapping
 
 
 def _add_common(sub):
@@ -203,61 +204,58 @@ def _add_model(sub):
     sub.add_argument("--config", default=None, help="flat key=value parameter file")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser, listing every subcommand but adding only ``command``'s
+    arguments: a run parses one, and help and usage errors print the same."""
     parser = argparse.ArgumentParser(
         prog="dicke-ed",
         description="Exact diagonalization of the finite-size Dicke model "
                     "in a displaced-Fock basis.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    solve = subs.add_parser("solve", help="converge one parameter point, print a CSV row")
-    _add_model(solve)
-    _add_common(solve)
-    solve.add_argument("--threshold", type=float, default=1e-6)
-    solve.add_argument("--ntr-schedule", default=None,
-                       help="comma list, default " + ",".join(map(str, DEFAULT_SCHEDULE)))
-    solve.add_argument("--track", default="e0",
-                       help="comma list of observables the truncation loop must "
-                            "settle, from " + ", ".join(OBSERVABLES))
-    solve.add_argument("--parity", choices=("even", "odd", "full"), default="even")
-    solve.add_argument("--dump-matrix", default=None,
-                       help="write the assembled matrix as 'row col value' lines")
-
-    comp = subs.add_parser("compare", help="displaced vs bare basis over a coupling grid")
-    _add_model(comp)
-    _add_common(comp)
-    comp.add_argument("--lambdas", required=True, help="comma list or start:stop:step")
-    comp.add_argument("--cases", default="dcs:6,dfs:6,dfs:45,dfs:100",
-                      help="comma list of basis:n_tr cells")
-    comp.add_argument("--parity", choices=("even", "odd", "full"), default="even")
-
-    conv = subs.add_parser("converge", help="truncation-convergence maps")
-    _add_model(conv)
-    _add_common(conv)
-    conv.add_argument("--lambdas", default=None, help="coupling grid (fixed-N mode)")
-    conv.add_argument("--ntr-list", default="4,6,8",
-                      help="truncations whose deviation from converged is mapped")
-    conv.add_argument("--at-critical", action="store_true",
-                      help="sweep N at the critical coupling instead of sweeping lambda")
-    conv.add_argument("--N", dest="n_range", default=None,
-                      help="system sizes for --at-critical (comma list or a..b doublings)")
-    conv.add_argument("--threshold", type=float, default=1e-6,
-                      help="convergence target defining the required truncation")
-
-    scal = subs.add_parser("scaling", help="finite-size scaling series and exponents")
-    _add_common(scal)
-    scal.add_argument("--observable", choices=tuple(SERIES), required=True)
-    scal.add_argument("--D", dest="big_d", required=True,
-                      help="comma list of delta/omega ratios")
-    scal.add_argument("--N", dest="n_range", default="16..1024",
-                      help="system sizes (comma list or a..b doublings)")
-    scal.add_argument("--omega", type=float, default=1.0)
-    scal.add_argument("--threshold", type=float, default=None,
-                      help="per-point convergence threshold (default " + ", ".join(
-                          f"{t:g} {obs}" for obs, (_, t) in SERIES.items()) + ")")
-    scal.add_argument("--c-inf", default="fit",
-                      help="'fit' or an explicit thermodynamic concurrence value")
+    sub = {name: subs.add_parser(name, help=text)
+           for name, (_, text) in _COMMANDS.items()}.get(command)
+    if command in ("solve", "compare", "converge"):
+        _add_model(sub)
+    if sub is not None:
+        _add_common(sub)
+    if command == "solve":
+        sub.add_argument("--threshold", type=float, default=1e-6)
+        sub.add_argument("--ntr-schedule", default=None,
+                         help="comma list, default " + ",".join(map(str, DEFAULT_SCHEDULE)))
+        sub.add_argument("--track", default="e0",
+                         help="comma list of observables the truncation loop must "
+                              "settle, from " + ", ".join(OBSERVABLES))
+        sub.add_argument("--parity", choices=("even", "odd", "full"), default="even")
+        sub.add_argument("--dump-matrix", default=None,
+                         help="write the assembled matrix as 'row col value' lines")
+    elif command == "compare":
+        sub.add_argument("--lambdas", required=True, help="comma list or start:stop:step")
+        sub.add_argument("--cases", default="dcs:6,dfs:6,dfs:45,dfs:100",
+                         help="comma list of basis:n_tr cells")
+        sub.add_argument("--parity", choices=("even", "odd", "full"), default="even")
+    elif command == "converge":
+        sub.add_argument("--lambdas", default=None, help="coupling grid (fixed-N mode)")
+        sub.add_argument("--ntr-list", default="4,6,8",
+                         help="truncations whose deviation from converged is mapped")
+        sub.add_argument("--at-critical", action="store_true",
+                         help="sweep N at the critical coupling instead of sweeping lambda")
+        sub.add_argument("--N", dest="n_range", default=None,
+                         help="system sizes for --at-critical (comma list or a..b doublings)")
+        sub.add_argument("--threshold", type=float, default=1e-6,
+                         help="convergence target defining the required truncation")
+    elif command == "scaling":
+        sub.add_argument("--observable", choices=tuple(SERIES), required=True)
+        sub.add_argument("--D", dest="big_d", required=True,
+                         help="comma list of delta/omega ratios")
+        sub.add_argument("--N", dest="n_range", default="16..1024",
+                         help="system sizes (comma list or a..b doublings)")
+        sub.add_argument("--omega", type=float, default=1.0)
+        sub.add_argument("--threshold", type=float, default=None,
+                         help="per-point convergence threshold (default " + ", ".join(
+                             f"{t:g} {obs}" for obs, (_, t) in SERIES.items()) + ")")
+        sub.add_argument("--c-inf", default="fit",
+                         help="'fit' or an explicit thermodynamic concurrence value")
     return parser
 
 
@@ -292,7 +290,7 @@ def _run_cached(args, command: str, options: dict, compute) -> int:
 
 
 def cmd_solve(args) -> int:
-    params = _params_from_args(args)
+    params = params_from_mapping(_model_mapping(args))
     schedule = parse_schedule(args.ntr_schedule) if args.ntr_schedule else DEFAULT_SCHEDULE
     track = tuple(t.strip() for t in args.track.split(",") if t.strip())
     options = {
@@ -340,7 +338,7 @@ def _compare_cell(job) -> dict:
 
 
 def cmd_compare(args) -> int:
-    params = _params_from_args(args)
+    params = params_from_mapping(_model_mapping(args))
     lambdas = parse_float_list(args.lambdas)
     cases = parse_cases(args.cases)
     options = {
@@ -389,8 +387,16 @@ def cmd_converge(args) -> int:
         if not args.n_range:
             raise ConfigError("--at-critical needs --N")
         n_list = parse_n_list(args.n_range)
-        omega = args.omega if args.omega is not None else 1.0
-        delta = args.delta if args.delta is not None else 1.0
+        mapping = _model_mapping(args)
+        for key, dest in (("n_atoms", "n_atoms"), ("lambda", "lam"), ("alpha", "alpha")):
+            if key in mapping:
+                where = (f"--{key.replace('_', '-')}" if getattr(args, dest) is not None
+                         else f"{args.config}: key {key!r}")
+                raise ConfigError(f"{where} has no meaning with --at-critical")
+        try:
+            omega, delta = (float(mapping.get(key, 1.0)) for key in ("omega", "delta"))
+        except ValueError as exc:
+            raise ConfigError(f"{args.config}: omega and delta must be numbers") from exc
         if not (omega > 0.0 and delta > 0.0):
             raise ConfigError(f"--omega and --delta must be positive, got {omega}, {delta}")
         options = {
@@ -417,7 +423,7 @@ def cmd_converge(args) -> int:
 
     if not args.lambdas:
         raise ConfigError("converge needs --lambdas (or --at-critical with --N)")
-    params = _params_from_args(args)
+    params = params_from_mapping(_model_mapping(args))
     lambdas = parse_float_list(args.lambdas)
     ntr_list = list(parse_schedule(args.ntr_list))
     options = {
@@ -511,11 +517,12 @@ def cmd_scaling(args) -> int:
     return _run_cached(args, "scaling", options, compute)
 
 
+# name -> (handler, help line)
 _COMMANDS = {
-    "solve": cmd_solve,
-    "compare": cmd_compare,
-    "converge": cmd_converge,
-    "scaling": cmd_scaling,
+    "solve": (cmd_solve, "converge one parameter point, print a CSV row"),
+    "compare": (cmd_compare, "displaced vs bare basis over a coupling grid"),
+    "converge": (cmd_converge, "truncation-convergence maps"),
+    "scaling": (cmd_scaling, "finite-size scaling series and exponents"),
 }
 
 
@@ -529,11 +536,13 @@ def _check_tolerances(args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level parser takes no values, so its first positional names the command
+    command = next((a for a in argv if not a.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     try:
         _check_tolerances(args)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2

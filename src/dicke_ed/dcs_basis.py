@@ -62,12 +62,14 @@ class OverlapKernel:
     """Immutable (n_tr+1) x (n_tr+1) table of displaced-Fock overlaps.
 
     ``kind`` is "alternating" for the symmetric B table (dress externally) or
-    "displacement" for the signed physical table <l|D(delta)|k>.
+    "displacement" for the signed physical table <l|D(delta)|k>.  ``peaks[d]``
+    is max |table[l, l - d]| over the table, d = 0..n_tr (cached tables).
     """
 
     delta: float
     table: np.ndarray = field(repr=False)
     kind: str = "alternating"
+    peaks: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.table.setflags(write=False)
@@ -142,14 +144,15 @@ _GROWN: dict = {}
 _GROWN_MAX = 128
 
 
-def _grown_table(g: float, size: int) -> np.ndarray:
-    """Leading size x size block of the table kept for ``g``.
+def _grown_table(g: float, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Leading size x size block of the table kept for ``g``, and its
+    per-diagonal maxima: max |B[l, l - d]| over l < size, d = 0..size-1.
 
     A larger request computes only the rows (and, by symmetry, columns)
     l >= the kept size; every entry is evaluated on its own, so the grown
-    table equals one built at its full size bit for bit.
+    table equals one built at its full size bit for bit, and so do its maxima.
     """
-    table = _GROWN.pop(g, np.empty((0, 0)))
+    table, peaks = _GROWN.pop(g, (np.empty((0, 0)), np.empty((0, 0))))
     old = table.shape[0]
     if old < size:
         grown = np.empty((size, size))
@@ -161,17 +164,23 @@ def _grown_table(g: float, size: int) -> np.ndarray:
         vals = ksign * ((l == k) if g == 0.0 else _displaced_lower(g, k, l))
         grown[l, k] = vals
         grown[k, l] = vals
+        peaks, kept = np.zeros((size, size)), peaks
+        peaks[:old, :old] = kept
+        peaks[l, l - k] = np.abs(vals)  # then peaks[r, d] = max |B[l, l - d]| over l <= r
+        np.maximum.accumulate(peaks[max(old - 1, 0):], out=peaks[max(old - 1, 0):])
         grown.setflags(write=False)
+        peaks.setflags(write=False)
         table = grown
-    _GROWN[g] = table
+    _GROWN[g] = table, peaks
     if len(_GROWN) > _GROWN_MAX:
         del _GROWN[next(iter(_GROWN))]
-    return table[:size, :size]
+    return table[:size, :size], peaks[size - 1, :size]
 
 
 @lru_cache(maxsize=128)
 def _overlap_kernel_cached(g: float, n_tr: int) -> OverlapKernel:
-    return OverlapKernel(delta=g, table=_grown_table(g, n_tr + 1), kind="alternating")
+    table, peaks = _grown_table(g, n_tr + 1)
+    return OverlapKernel(delta=g, table=table, kind="alternating", peaks=peaks)
 
 
 def overlap_kernel(g: float, n_tr: int) -> OverlapKernel:

@@ -15,7 +15,10 @@ is reached, r_new**2 <= target * r_old; ``factorizations`` may then be below
 ``iterations``, and such steps count against MAX_FACTORIZATIONS.  Once the
 residual r is at most target = tol*max(1, |theta|), one more factorization
 proves the returned energy the lowest; if it fails, ConvergenceError.  Only
-the band and one factor are alive at a time.
+the band and one factor are alive at a time.  The displaced basis hands over
+a band H~ = H - E trimmed to K + w rows and a bound ``dropped`` >= ||E||_2;
+by Weyl's inequality no eigenvalue moves further, so it joins the slack and
+every shift test still speaks of H.
 
 The factorization and the solves are LAPACK ``dpbtrf``/``dpbtrs`` through
 scipy's own f2py extension, the one ``scipy.linalg.cholesky_banded`` and
@@ -108,19 +111,20 @@ def _canonical_sign(vec: np.ndarray) -> np.ndarray:
 class ShiftTest:
     """Positive-definiteness tests of H - sigma*I on one reused work array.
 
-    ``slack`` bounds the factorization's backward error (|E| <= (u+1)*eps*
-    |L||L^T|, 2u+1 entries a row, diagonal below the Gershgorin spread), and
-    each test factors at sigma + slack: a success proves sigma <= E0, so a
-    shift at or above E0 is refused; a failure proves E0 < sigma + 2*slack.
+    ``slack`` bounds the factorization's backward error (|F| <= (u+1)*eps*
+    |L||L^T|, 2u+1 entries a row, diagonal below the Gershgorin spread) plus
+    ``dropped``, and each test factors at sigma + slack: a success proves
+    sigma <= E0, so a shift at or above E0 is refused; a failure proves
+    E0 < sigma + 2*slack.
     """
 
-    def __init__(self, ab: np.ndarray):
+    def __init__(self, ab: np.ndarray, dropped: float = 0.0):
         self.ab = ab
         self.work = np.empty_like(ab, order="F")
         u = ab.shape[0] - 1
         self.lowest, highest = gershgorin(ab)
         self.slack = (2 * u + 1) * (u + 1) * np.finfo(float).eps * max(
-            highest - self.lowest, 1.0)
+            highest - self.lowest, 1.0) + dropped
         self.count = 0
 
     def below_spectrum(self, sigma: float) -> bool:
@@ -152,7 +156,7 @@ def _rayleigh(h, x: np.ndarray) -> tuple[float, float]:
 def _certified_lowest(h, tol: float, seed: int, v0: np.ndarray | None):
     """Returns (x, theta, residual, lower_bound, steps, test); ``test`` holds
     the factorization count and the band."""
-    test = ShiftTest(h.band())
+    test = ShiftTest(h.band(), h.dropped)
     if v0 is None or not np.any(v0):
         v0 = default_rng(seed).standard_normal(h.dim)
     x = np.array(v0, dtype=float) / np.linalg.norm(v0)

@@ -14,7 +14,9 @@ sector index:
 
 The solver and the dense views read both matrices, and their parity
 projections, in LAPACK lower band storage (``band()``); matvec serves the
-residuals.
+residuals.  The displaced basis's band keeps only the kernel off-diagonals
+above a drop level (``assemble_dcs``); matvec, ``to_dense`` and ``dump_coo``
+keep every entry.
 
 A parity sector has two coordinate orders.  Sector-major (the centre states,
 then each kept sector's K = n_tr + 1 boson states) suits the displaced basis,
@@ -54,6 +56,8 @@ __all__ = [
 ]
 
 DEFAULT_DIM_CAP = 400_000
+# the displaced-basis band drops a kernel tail whose norm bound is <= this * max(|diag|, 1)
+_DROP_LEVEL = np.finfo(float).eps
 
 
 @dataclass
@@ -75,6 +79,8 @@ class BlockHamiltonian:
     kernel_up: np.ndarray | None = field(default=None, repr=False)
     boson_amp: np.ndarray | None = field(default=None, repr=False)
     sector: str = "full"
+    kernel_width: int = 0
+    dropped: float = 0.0
 
     @property
     def s_dim(self) -> int:
@@ -113,18 +119,19 @@ class BlockHamiltonian:
 
     @property
     def bandwidth(self) -> int:
-        """Lower bandwidth: dense kernel blocks reach 2K-1 below the diagonal,
-        the identity spin blocks of the bare basis exactly K."""
-        return 2 * self.k_dim - 1 if self.basis == "dcs" else self.k_dim
+        """Lower bandwidth of ``band()``: K + w for kernel blocks that keep their
+        off-diagonals 0..w (``kernel_width``), K for the bare basis's identity."""
+        return self.k_dim + self.kernel_width
 
-    def band(self) -> np.ndarray:
-        """The matrix in LAPACK lower band storage (Fortran order)."""
-        ab = np.zeros((self.bandwidth + 1, self.dim), order="F")
+    def band(self, trim: bool = True) -> np.ndarray:
+        """The matrix in LAPACK lower band storage (Fortran order); with
+        ``trim`` false, all 2K rows the kernel blocks can reach."""
+        ab = np.zeros((self.bandwidth + 1 if trim else 2 * self.k_dim, self.dim), order="F")
         _fill_sectors(self, ab, first=0, offset=0)
         return ab
 
     def to_dense(self) -> np.ndarray:
-        return _band_to_dense(self.band())
+        return _band_to_dense(self.band(trim=False))
 
 
 def _check_dim(params: ModelParams, n_tr: int, max_dim: int | None):
@@ -154,8 +161,9 @@ def _fill_sectors(h: BlockHamiltonian, ab: np.ndarray, first: int, offset: int):
         return
     # row (t+1, a), column (t, b) holds coup[t] * kernel_up[b, a], at band row K+a-b
     for b in range(K):
-        ab[K - b: 2 * K - b, offset + b: offset + (m - 1) * K: K] = np.outer(
-            h.kernel_up[b], coup)
+        top = min(K, ab.shape[0] - K + b)  # a trimmed band stops at its last row
+        ab[K - b: K - b + top, offset + b: offset + (m - 1) * K: K] = np.outer(
+            h.kernel_up[b, :top], coup)
 
 
 def gershgorin(ab: np.ndarray) -> tuple[float, float]:
@@ -188,20 +196,33 @@ def assemble_dcs(params: ModelParams, n_tr: int, max_dim: int | None = None) -> 
     weight -delta*j_n^- and kernel (-1)^l B_{l,k}(G).  The full basis is
     orthonormal (Dicke states are orthogonal across sectors even though the
     displaced oscillators overlap), so this is a standard eigenproblem.
+
+    The band keeps kernel off-diagonals 0..w; ``dropped`` bounds ||E||_2 of
+    the rest, E.  A row of E (full matrix or parity sector) meets at most two
+    coupling blocks, one perhaps the sqrt(2)-weighted centre coupling of even
+    N (the odd-N fold stays in a diagonal block), with one entry per d > w in
+    each: ||E||_2 <= (1 + sqrt(2)) max|coupling| sum_{d>w} max_l |B_{l+d,l}|.
+    w is the smallest width whose bound is at most eps * max(|diag|, 1).
     """
     _check_dim(params, n_tr, max_dim)
     k_arr = np.arange(n_tr + 1, dtype=float)
     n_vals = params.sector_values()
     g2 = (params.big_g * n_vals) ** 2
     diag = params.omega * (k_arr[np.newaxis, :] - g2[:, np.newaxis])
-    kernel = overlap_kernel(params.big_g, n_tr).signed("up")
+    kernel = overlap_kernel(params.big_g, n_tr)
+    coup = -params.delta * params.spin_ladder()
+    tail = np.append(np.cumsum(kernel.peaks[:0:-1])[::-1], 0.0)  # peaks past w, summed
+    bound = (1.0 + math.sqrt(2.0)) * np.max(np.abs(coup), initial=0.0) * tail
+    width = int(np.argmax(bound <= _DROP_LEVEL * max(np.max(np.abs(diag)), 1.0)))
     return BlockHamiltonian(
         params=params,
         n_tr=n_tr,
         basis="dcs",
         diag=diag,
-        spin_coup=-params.delta * params.spin_ladder(),
-        kernel_up=kernel,
+        spin_coup=coup,
+        kernel_up=kernel.signed("up"),
+        kernel_width=width,
+        dropped=float(bound[width]),
     )
 
 
@@ -246,6 +267,7 @@ class ProjectedHamiltonian:
             raise ValueError(f"sector must be 'even' or 'odd', got {sector!r}")
         self.full = full
         self.sector = sector
+        self.dropped = full.dropped  # the band keeps the full matrix's depth
         self.sign = 1.0 if sector == "even" else -1.0
         S, K = full.s_dim, full.k_dim
         self._has_center = S % 2 == 1
@@ -319,8 +341,9 @@ class ProjectedHamiltonian:
     def matvec(self, u: np.ndarray) -> np.ndarray:
         return self.restrict(self.full.matvec(self.expand(u)))
 
-    def band(self) -> np.ndarray:
-        """The projected matrix in LAPACK lower band storage (Fortran order).
+    def band(self, trim: bool = True) -> np.ndarray:
+        """The projected matrix in LAPACK lower band storage (Fortran order),
+        to the full matrix's depth (``trim`` as there).
 
         Sectors above the centre keep their blocks.  With a centre sector
         (even N) its retained states couple to the first kept sector with
@@ -331,14 +354,14 @@ class ProjectedHamiltonian:
             return self._boson_major_band()
         full = self.full
         K, nc, i0 = full.k_dim, len(self._center_keep), self._upper[0]
-        ab = np.zeros((full.bandwidth + 1, self.dim), order="F")
+        ab = np.zeros((full.bandwidth + 1 if trim else 2 * K, self.dim), order="F")
         _fill_sectors(full, ab, first=i0, offset=nc)
         B = full.offdiag_block(i0 - 1)
         if self._has_center:
             # the centre block is diagonal: boson hopping vanishes at n = 0
             ab[0, :nc] = full.diag[self._center, self._center_keep]
             for c, k in enumerate(self._center_keep):
-                # the bare basis's band is narrower; B vanishes past its edge
+                # past the band's edge B vanishes (bare basis) or is dropped
                 top = min(K, ab.shape[0] - nc + c)
                 ab[nc - c: nc - c + top, c] = math.sqrt(2.0) * B[k, :top]
         else:
@@ -371,7 +394,7 @@ class ProjectedHamiltonian:
         return ab
 
     def to_dense(self) -> np.ndarray:
-        return _band_to_dense(self.band())
+        return _band_to_dense(self.band(trim=False))
 
 
 def project_parity(h: BlockHamiltonian, sector: str) -> ProjectedHamiltonian:
@@ -384,7 +407,7 @@ def dump_coo(h: BlockHamiltonian, fileobj) -> int:
 
     Returns the number of lines written.  Debug aid; both triangles emitted.
     """
-    ab = h.band()
+    ab = h.band(trim=False)
     count = 0
     for d in range(ab.shape[0]):
         for c in np.nonzero(ab[d])[0]:

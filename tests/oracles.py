@@ -449,5 +449,5 @@ def parity_operator(n_atoms: int, n_tr: int) -> ParityOperator:
 
 def norm_estimate(h) -> float:
     """Gershgorin upper bound on the spectral radius of an assembled matrix."""
-    lowest, highest = gershgorin(h.band())
+    lowest, highest = gershgorin(h.band(trim=False))
     return max(-lowest, highest)

@@ -264,6 +264,16 @@ class TestConvergeCommand:
         assert [r["N"] for r in rows] == ["16", "64"]
         assert "non-increasing" in err
 
+    def test_at_critical_reads_config(self, tmp_path, capsys):
+        """omega and delta come from --config, the flags overriding it."""
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text("omega = 0.3\ndelta = 5\n")
+        code, out, _ = run(capsys, "converge", "--at-critical", "--config", str(cfg),
+                           "--delta", "0.7", "--N", "16,32,64", "--workers", "1",
+                           "--out-dir", str(tmp_path / "store"))
+        assert code == 0
+        assert out == (GOLDEN / "converge-critical-w0.3-d0.7.csv").read_text()
+
     def test_at_critical_workers_keep_bytes(self, tmp_path, capsys):
         argv = ("converge", "--at-critical", "--omega", "0.3", "--delta", "0.7",
                 "--N", "16,32,64")
@@ -363,6 +373,22 @@ class TestBadNumbersExit2:
         assert code == 2 and out == ""
         assert "config error" in err and message in err
 
+    @pytest.mark.parametrize("key,flag,value", [
+        ("n_atoms", "--n-atoms", "99"), ("lambda", "--lambda", "3"), ("alpha", "--alpha", "1"),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_at_critical_refuses_coupling_and_size(self, tmp_path, capsys, key, flag, value,
+                                                   source):
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text(f"omega = 0.3\n{key} = {value}\n" if source == "config" else "")
+        extra = (flag, value) if source == "flag" else ()
+        code, out, err = run(capsys, "converge", "--at-critical", "--config", str(cfg),
+                             *extra, "--N", "16,32", "--workers", "1",
+                             "--out-dir", str(tmp_path / "store"))
+        assert code == 2 and out == ""
+        named = flag if source == "flag" else f"key {key!r}"
+        assert "config error: " in err and f"{named} has no meaning with --at-critical" in err
+
     @pytest.mark.parametrize("flag,value", [("--omega", "0"), ("--delta", "-1")])
     def test_bad_at_critical_energies(self, tmp_path, capsys, flag, value):
         code, out, err = run(capsys, "converge", "--at-critical", "--N", "16,32",
@@ -371,7 +397,34 @@ class TestBadNumbersExit2:
         assert "config error: --omega and --delta must be positive" in err
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+# stdout of help (.txt) and stderr of usage errors (.stderr), at 80 columns
+HELP_CASES = {
+    "cli-help.txt": ["--help"],
+    **{f"cli-help-{c}.txt": [c, "--help"] for c in ("solve", "compare", "converge", "scaling")},
+    "cli-usage-missing.stderr": [],
+    "cli-usage-unknown.stderr": ["solv", "--n-atoms", "4"],
+    "cli-usage-solve-bogus.stderr": ["solve", "--bogus", "1"],
+    "cli-usage-scaling-missing.stderr": ["scaling", "--D", "1"],
+}
+
+
 class TestArgparseBehavior:
+    @pytest.mark.parametrize("name", sorted(HELP_CASES))
+    def test_help_and_usage_bytes(self, name, capsys, monkeypatch):
+        """The parser adds only the invoked subcommand's arguments; help and
+        usage errors still print the pinned bytes."""
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as info:
+            main(HELP_CASES[name])
+        captured = capsys.readouterr()
+        pinned = (GOLDEN / name).read_text()
+        if name.endswith(".txt"):
+            assert (info.value.code, captured.out, captured.err) == (0, pinned, "")
+        else:
+            assert (info.value.code, captured.out, captured.err) == (2, "", pinned)
+
     def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])

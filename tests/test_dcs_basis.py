@@ -199,16 +199,20 @@ class TestVectorizedBuilder:
     @pytest.mark.parametrize("g", [0.0, 0.03125, 0.3953, 1.58, 5.0, 12.0, 45.0, 60.0])
     def test_bit_identical_to_scalar_route(self, g, n_tr):
         """Built in one pass, and reached by growth: ascending truncations,
-        then a smaller one served as the grown table's leading block."""
+        then a smaller one served as the grown table's leading block.  The
+        per-diagonal maxima kept with the table equal a scan of each block."""
         ref = scalar_kernel_table(g, n_tr)
         self._forget_tables()
-        grown = [overlap_kernel(g, m).table for m in (n_tr // 4, n_tr // 2, n_tr)]
-        grown.append(overlap_kernel(g, n_tr // 3).table)
+        grown = [overlap_kernel(g, m) for m in (n_tr // 4, n_tr // 2, n_tr)]
+        grown.append(overlap_kernel(g, n_tr // 3))
         self._forget_tables()
-        for table in [overlap_kernel(g, n_tr).table] + grown:
+        for kernel in [overlap_kernel(g, n_tr)] + grown:
+            table = kernel.table
             size = table.shape[0]
             assert np.array_equal(table, ref[:size, :size])
             assert np.array_equal(np.signbit(table), np.signbit(ref[:size, :size]))
+            scan = [np.abs(np.diagonal(ref[:size, :size], -d)).max() for d in range(size)]
+            assert np.array_equal(kernel.peaks, scan)
 
     @pytest.mark.parametrize("g,n_tr", [(60.0, 160), (45.0, 193)])
     def test_rescale_branch_exercised(self, g, n_tr):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, eigh
 
-from dicke_ed import eigen
+from dicke_ed import eigen, hamiltonian
 from dicke_ed.errors import ConvergenceError
 from dicke_ed.eigen import ShiftTest, ground_state
 from dicke_ed.hamiltonian import (
@@ -23,11 +23,15 @@ CERT_GRID = list(itertools.product(
     (1, 2, 3, 5, 8, 13, 32), LAMBDAS,
     (("dcs", 4), ("dcs", 7), ("dfs", 20)), SECTORS,
 )) + list(itertools.product((32,), LAMBDAS, (("dfs", 4),), SECTORS))
+# D = 10 at the critical coupling: the displaced-basis band is trimmed to K + w rows
+LAM_C10 = critical_coupling(1.0, 10.0)
+TRIM_GRID = list(itertools.product(
+    (16, 17, 32), (LAM_C10,), (("dcs", 48), ("dcs", 64)), ("even", "odd")))
 
 
-def sector_matrix(n_atoms, lam, basis, n_tr, sector):
+def sector_matrix(n_atoms, lam, basis, n_tr, sector, delta=1.0):
     assemble = assemble_dcs if basis == "dcs" else assemble_dfs
-    h = assemble(ModelParams(n_atoms, 1.0, 1.0, lam), n_tr)
+    h = assemble(ModelParams(n_atoms, 1.0, delta, lam), n_tr)
     return h if sector == "full" else project_parity(h, sector)
 
 
@@ -110,6 +114,13 @@ class TestGroundState:
         assert ground_state(small).bandwidth == 5
         assert ground_state(small, dense=True).bandwidth is None
 
+    def test_reports_trimmed_bandwidth(self):
+        """A displaced-basis solve reports the K + w rows it factored."""
+        h = sector_matrix(32, LAM_C10, "dcs", 64, "even", delta=10.0)
+        w = h.full.kernel_width
+        assert 0 < w < 64
+        assert ground_state(h).bandwidth == h.bandwidth == 65 + w
+
     @pytest.mark.parametrize("n_atoms,n_tr", [(5, 20), (6, 20), (8, 30), (32, 4)])
     def test_projected_bare_vector_matches_full_oracle(self, n_atoms, n_tr):
         """The expanded sector vector is the lowest parity eigenvector of the
@@ -133,13 +144,17 @@ class TestGroundState:
 class TestCertificate:
     def test_matches_dense_over_grid(self):
         """Every solve is certified and agrees with dense eigh, including
-        lambda = 0, where at small N the Gershgorin bound equals E0."""
+        lambda = 0, where at small N the Gershgorin bound equals E0, and the
+        D = 10 cases that factor a trimmed band (dense eigh of the whole
+        matrix)."""
         bad = []
-        for n_atoms, lam, (basis, n_tr), sector in CERT_GRID:
-            h = sector_matrix(n_atoms, lam, basis, n_tr, sector)
+        grid = [(*case, 1.0) for case in CERT_GRID] + [(*case, 10.0) for case in TRIM_GRID]
+        for n_atoms, lam, (basis, n_tr), sector, delta in grid:
+            h = sector_matrix(n_atoms, lam, basis, n_tr, sector, delta)
             exact = eigh(h.to_dense(), subset_by_index=(0, 0), eigvals_only=True)[0]
             gs = ground_state(h)
-            ok = (gs.method == "shift-invert"
+            trimmed = basis == "dcs" and gs.bandwidth < 2 * n_tr + 1
+            ok = (gs.method == "shift-invert" and (trimmed or delta == 1.0)
                   and abs(gs.energy - exact) <= 1e-9 * max(1.0, abs(exact))
                   and gs.lower_bound <= exact <= gs.energy + 1e-12 * max(1.0, abs(exact)))
             if not ok:
@@ -157,6 +172,23 @@ class TestCertificate:
         assert test.below_spectrum(e0 - gap)
         for sigma in (e0, e0 + gap, e0 + 1.0):
             assert not test.below_spectrum(sigma)
+
+    @pytest.mark.parametrize("n_atoms", [16, 17])
+    @pytest.mark.parametrize("sector", SECTORS)
+    def test_forced_drop_keeps_the_proofs(self, monkeypatch, n_atoms, sector):
+        """At a drop level of 1e-3 the trimmed band's lowest eigenvalue lies
+        up to 1.6e-4 above E0, far past the factorization slack; the dropped
+        norm in the slack still refuses a shift at E0, and the returned
+        window still holds it."""
+        monkeypatch.setattr(hamiltonian, "_DROP_LEVEL", 1e-3)
+        h = sector_matrix(n_atoms, LAM_C10, "dcs", 24, sector, delta=10.0)
+        e0 = eigh(h.to_dense(), subset_by_index=(0, 0), eigvals_only=True)[0]
+        assert h.bandwidth < 49 and h.dropped > 1e-3
+        test = ShiftTest(h.band(), h.dropped)
+        assert test.lowest - 2.0 * test.slack <= e0
+        assert not test.below_spectrum(e0)
+        gs = ground_state(h, tol=1e-2)
+        assert gs.lower_bound <= e0 <= gs.energy
 
     def test_failed_closing_certificate_raises(self):
         """Started on an excited eigenvector, the residual is already tiny; the

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
+from dicke_ed import hamiltonian
 from dicke_ed.errors import DimensionCapError
 from dicke_ed.hamiltonian import (
+    _band_to_dense,
     assemble_dcs,
     assemble_dfs,
     dump_coo,
@@ -261,6 +263,31 @@ class TestParity:
                 assert hp.boson_major == boson_major
                 width = layer if boson_major else hp.full.bandwidth
                 assert hp.bandwidth == ab.shape[0] - 1 == width
+
+    @pytest.mark.parametrize("n_atoms", [16, 17])
+    @pytest.mark.parametrize("level", [None, 1e-3])
+    def test_trimmed_band_is_the_leading_rows(self, monkeypatch, n_atoms, level):
+        """The displaced-basis band keeps the first K + w + 1 rows of the whole
+        band, in the full matrix and both parity sectors (centre coupling for
+        even N, fold for odd N); ``dropped`` bounds the 2-norm of the rest, and
+        ``to_dense`` is the whole matrix, column by column through matvec.
+        The raised drop level makes the dropped part large enough to see."""
+        if level is not None:
+            monkeypatch.setattr(hamiltonian, "_DROP_LEVEL", level)
+        p = ModelParams(n_atoms, 1.0, 10.0, critical_coupling(1.0, 10.0))
+        full = assemble_dcs(p, 48)
+        w = full.kernel_width
+        assert 0 < w < 48
+        for h in (full, project_parity(full, "even"), project_parity(full, "odd")):
+            ab, whole = h.band(), h.band(trim=False)
+            assert ab.flags.f_contiguous
+            assert ab.shape[0] == h.bandwidth + 1 == 49 + w + 1
+            assert whole.shape[0] == 2 * 49
+            assert np.array_equal(ab, whole[: ab.shape[0]])
+            dense = h.to_dense()
+            assert np.linalg.norm(dense - _band_to_dense(ab), 2) <= h.dropped
+            cols = np.column_stack([h.matvec(e) for e in np.eye(h.dim)])
+            assert np.max(np.abs(dense - cols)) < 1e-12
 
     def test_strong_coupling_doublet(self):
         p = ModelParams(8, 1.0, 1.0, 1.0)  # alpha = 4
