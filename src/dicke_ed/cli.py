@@ -326,9 +326,7 @@ def _compare_cell(job) -> dict:
     try:
         params = ModelParams(n_atoms, omega, delta, lam)
         assemble = assemble_dcs if basis == "dcs" else assemble_dfs
-        h = assemble(params, n_tr, max_dim=max_dim)
-        if parity != "full":
-            h = project_parity(h, parity)
+        h = project_parity(assemble(params, n_tr, max_dim=max_dim), parity)
         gs = ground_state(h, tol=solver_tol, seed=seed, dense=dense)
         row["E0"] = gs.energy
         row["E0_scaled"] = gs.energy / (params.j * params.delta)

@@ -1,7 +1,7 @@
 """Lowest eigenpair by certified shift-invert on the banded matrix.
 
 Both bases are block-tridiagonal over the spin sectors, also after the parity
-projection, so every operator hands over its matrix in LAPACK lower band
+projection, so every parity sector hands over its matrix in LAPACK lower band
 storage (``band()``).  A shift sigma counts as lying below the spectrum only
 when the Cholesky factorization of H - sigma*I succeeds: by Sylvester's law
 of inertia no eigenvalue then lies at or below sigma (Parlett, *The
@@ -18,7 +18,8 @@ proves the returned energy the lowest; if it fails, ConvergenceError.  Only
 the band and one factor are alive at a time.  The displaced basis hands over
 a band H~ = H - E trimmed to K + w rows and a bound ``dropped`` >= ||E||_2;
 by Weyl's inequality no eigenvalue moves further, so it joins the slack and
-every shift test still speaks of H.
+every shift test still speaks of H.  H commutes with parity (Emary & Brandes,
+PRE 67, 066203 (2003)), so an unprojected matrix is solved as its two sectors.
 
 The factorization and the solves are LAPACK ``dpbtrf``/``dpbtrs`` through
 scipy's own f2py extension, the one ``scipy.linalg.cholesky_banded`` and
@@ -29,7 +30,7 @@ oracle path imports ``scipy.linalg``, on demand.
 """
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import find_spec, module_from_spec, spec_from_file_location
 from pathlib import Path
@@ -38,7 +39,7 @@ import numpy as np
 from numpy.random import default_rng  # at import: a solve imports nothing
 
 from .errors import ConfigError, ConvergenceError
-from .hamiltonian import gershgorin
+from .hamiltonian import BlockHamiltonian, gershgorin, project_parity
 
 __all__ = ["GroundState", "ground_state"]
 
@@ -73,13 +74,14 @@ _dpbtrf, _dpbtrs = _flapack.dpbtrf, _flapack.dpbtrs
 class GroundState:
     """A converged eigenpair with enough metadata to reproduce and audit it.
 
-    ``vector`` always lives in the full (unprojected) flat basis; solves done
-    inside a parity sector are expanded before being stored here, and
-    ``sector`` records where the solve happened.  ``iterations`` counts
-    inverse-iteration steps and ``factorizations`` the Cholesky factorizations,
-    fewer when steps reuse a factor.  The sector's lowest eigenvalue is proven to lie
-    in [``lower_bound``, ``energy``]; ``bandwidth`` is the lower bandwidth of
-    the band that was factored.  The dense oracle has neither.
+    ``vector`` always lives in the full (unprojected) flat basis: the solve
+    happens inside a parity sector, named by ``sector``, and is expanded
+    before being stored here.  ``iterations`` counts inverse-iteration steps
+    and ``factorizations`` the Cholesky factorizations, fewer when steps
+    reuse a factor.  The lowest eigenvalue of the matrix that was passed in
+    is proven to lie in [``lower_bound``, ``energy``]; ``bandwidth`` is the
+    lower bandwidth of the widest band that was factored.  The dense oracle
+    has neither.  For an unprojected matrix the counts sum both sector solves.
     """
 
     energy: float
@@ -206,16 +208,33 @@ def _certified_lowest(h, tol: float, seed: int, v0: np.ndarray | None):
 
 def ground_state(h, tol: float = 1e-10, seed: int = 0, dense: bool = False,
                  v0: np.ndarray | None = None) -> GroundState:
-    """Lowest eigenpair of an assembled (optionally projected) matrix.
+    """Lowest eigenpair of a parity sector, or of an unprojected matrix: the
+    lower of its two sectors' states, with the lower of their bounds (so it
+    holds also for a near-degenerate doublet).
 
     Certified: the energy is a Rayleigh quotient and ``lower_bound``, at most
     r + tol*max(1, |E|) (plus rounding slack) below it, is proven to lie
     below the spectrum.  Raises ConvergenceError (residual attached) rather
     than return an uncertified pair.  ``seed`` draws the start vector unless
-    ``v0`` gives one; ``dense`` uses dense ``eigh`` instead (oracle path).
+    ``v0``, in the full flat basis, gives one; a sector it does not reach
+    starts from the seed.  ``dense`` uses dense ``eigh`` instead (oracle path).
     """
     if not tol > 0.0:
         raise ConfigError(f"tol must be positive, got {tol!r}")
+    if not isinstance(h, BlockHamiltonian):
+        return _sector_ground_state(h, tol, seed, dense, v0)
+    even, odd = (_sector_ground_state(project_parity(h, sector), tol, seed, dense, v0)
+                 for sector in ("even", "odd"))
+    return replace(
+        min(even, odd, key=lambda gs: gs.energy),
+        iterations=even.iterations + odd.iterations,
+        factorizations=even.factorizations + odd.factorizations,
+        lower_bound=None if dense else min(even.lower_bound, odd.lower_bound),
+        bandwidth=None if dense else max(even.bandwidth, odd.bandwidth),
+    )
+
+
+def _sector_ground_state(h, tol, seed, dense, v0) -> GroundState:
     if dense:
         from scipy.linalg import eigh
 
@@ -223,12 +242,12 @@ def ground_state(h, tol: float = 1e-10, seed: int = 0, dense: bool = False,
         energy, vec, steps, count, bound, width = vals[0], vecs[:, 0], 0, 0, None, None
         resid = float(np.linalg.norm(h.matvec(vec) - energy * vec))
     else:
-        vec, energy, resid, bound, steps, test = _certified_lowest(h, tol, seed, v0)
+        x0 = None if v0 is None else h.restrict(v0)
+        vec, energy, resid, bound, steps, test = _certified_lowest(h, tol, seed, x0)
         count, width = test.count, test.ab.shape[0] - 1
-    full_vec = h.expand(vec) if hasattr(h, "expand") else vec
     return GroundState(
         energy=float(energy),
-        vector=_canonical_sign(full_vec),
+        vector=_canonical_sign(h.expand(vec)),
         basis=h.basis,
         n_tr=h.n_tr,
         sector=h.sector,

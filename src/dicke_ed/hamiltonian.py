@@ -12,11 +12,11 @@ sector index:
   times the identity, plus a boson hopping term omega*g_n*sqrt(l+1) inside
   each sector (tridiagonal in l).
 
-The solver and the dense views read both matrices, and their parity
-projections, in LAPACK lower band storage (``band()``); matvec serves the
-residuals.  The displaced basis's band keeps only the kernel off-diagonals
-above a drop level (``assemble_dcs``); matvec, ``to_dense`` and ``dump_coo``
-keep every entry.
+The dense views read both matrices in LAPACK lower band storage
+(``band()``), and the solver reads their parity projections the same way;
+matvec serves the residuals.  A displaced-basis sector's band keeps only the
+kernel off-diagonals above a drop level (``assemble_dcs``); matvec,
+``to_dense`` and ``dump_coo`` keep every entry.
 
 A parity sector has two coordinate orders.  Sector-major (the centre states,
 then each kept sector's K = n_tr + 1 boson states) suits the displaced basis,
@@ -78,7 +78,6 @@ class BlockHamiltonian:
     spin_coup: np.ndarray = field(repr=False)
     kernel_up: np.ndarray | None = field(default=None, repr=False)
     boson_amp: np.ndarray | None = field(default=None, repr=False)
-    sector: str = "full"
     kernel_width: int = 0
     dropped: float = 0.0
 
@@ -119,19 +118,20 @@ class BlockHamiltonian:
 
     @property
     def bandwidth(self) -> int:
-        """Lower bandwidth of ``band()``: K + w for kernel blocks that keep their
-        off-diagonals 0..w (``kernel_width``), K for the bare basis's identity."""
+        """Lower bandwidth a sector-major parity band keeps: K + w for kernel
+        blocks that keep their off-diagonals 0..w (``kernel_width``), K for
+        the bare basis's identity."""
         return self.k_dim + self.kernel_width
 
-    def band(self, trim: bool = True) -> np.ndarray:
-        """The matrix in LAPACK lower band storage (Fortran order); with
-        ``trim`` false, all 2K rows the kernel blocks can reach."""
-        ab = np.zeros((self.bandwidth + 1 if trim else 2 * self.k_dim, self.dim), order="F")
+    def band(self) -> np.ndarray:
+        """The whole matrix in LAPACK lower band storage (Fortran order): all
+        2K rows the kernel blocks can reach."""
+        ab = np.zeros((2 * self.k_dim, self.dim), order="F")
         _fill_sectors(self, ab, first=0, offset=0)
         return ab
 
     def to_dense(self) -> np.ndarray:
-        return _band_to_dense(self.band(trim=False))
+        return _band_to_dense(self.band())
 
 
 def _check_dim(params: ModelParams, n_tr: int, max_dim: int | None):
@@ -267,7 +267,7 @@ class ProjectedHamiltonian:
             raise ValueError(f"sector must be 'even' or 'odd', got {sector!r}")
         self.full = full
         self.sector = sector
-        self.dropped = full.dropped  # the band keeps the full matrix's depth
+        self.dropped = full.dropped  # the band keeps K + w rows (``full.bandwidth``)
         self.sign = 1.0 if sector == "even" else -1.0
         S, K = full.s_dim, full.k_dim
         self._has_center = S % 2 == 1
@@ -343,7 +343,7 @@ class ProjectedHamiltonian:
 
     def band(self, trim: bool = True) -> np.ndarray:
         """The projected matrix in LAPACK lower band storage (Fortran order),
-        to the full matrix's depth (``trim`` as there).
+        ``full.bandwidth`` deep; with ``trim`` false, all 2K rows.
 
         Sectors above the centre keep their blocks.  With a centre sector
         (even N) its retained states couple to the first kept sector with
@@ -397,9 +397,10 @@ class ProjectedHamiltonian:
         return _band_to_dense(self.band(trim=False))
 
 
-def project_parity(h: BlockHamiltonian, sector: str) -> ProjectedHamiltonian:
-    """Restrict an assembled matrix to the even or odd parity sector."""
-    return ProjectedHamiltonian(h, sector)
+def project_parity(h: BlockHamiltonian, sector: str) -> "BlockHamiltonian | ProjectedHamiltonian":
+    """Restrict an assembled matrix to the even or odd parity sector; "full"
+    keeps the whole matrix, which ``ground_state`` solves as both sectors."""
+    return h if sector == "full" else ProjectedHamiltonian(h, sector)
 
 
 def dump_coo(h: BlockHamiltonian, fileobj) -> int:
@@ -407,7 +408,7 @@ def dump_coo(h: BlockHamiltonian, fileobj) -> int:
 
     Returns the number of lines written.  Debug aid; both triangles emitted.
     """
-    ab = h.band(trim=False)
+    ab = h.band()
     count = 0
     for d in range(ab.shape[0]):
         for c in np.nonzero(ab[d])[0]:

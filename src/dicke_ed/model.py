@@ -39,8 +39,8 @@ def critical_coupling(omega: float, delta: float) -> float:
 class ModelParams:
     """Physics configuration: atom number and the three energies.
 
-    Derived quantities (j, D, alpha, g_m, G) are computed on access so they
-    can never go stale.
+    Derived quantities (j, alpha, G) are computed on access so they can never
+    go stale; the displacement of sector m is g_m = G*m.
     """
 
     n_atoms: int
@@ -64,11 +64,6 @@ class ModelParams:
         return 0.5 * self.n_atoms
 
     @property
-    def big_d(self) -> float:
-        """D = delta/omega."""
-        return self.delta / self.omega
-
-    @property
     def alpha(self) -> float:
         """alpha = 4*lam^2 / (delta*omega); equals 1 at the critical coupling."""
         return 4.0 * self.lam**2 / (self.delta * self.omega)
@@ -77,10 +72,6 @@ class ModelParams:
     def big_g(self) -> float:
         """Inter-sector displacement step G = 2*lam / (omega*sqrt(N))."""
         return 2.0 * self.lam / (self.omega * math.sqrt(self.n_atoms))
-
-    def g(self, m: float) -> float:
-        """Per-sector displacement g_m = 2*lam*m / (omega*sqrt(N))."""
-        return self.big_g * m
 
     def sector_values(self) -> np.ndarray:
         """J_z eigenvalues n = -j..j as a length N+1 array."""
@@ -95,14 +86,6 @@ class ModelParams:
         j = self.j
         n = self.sector_values()[:-1]
         return 0.5 * np.sqrt(j * (j + 1.0) - n * (n + 1))
-
-    @property
-    def lambda_c(self) -> float:
-        return critical_coupling(self.omega, self.delta)
-
-    def at_critical(self) -> "ModelParams":
-        """Same parameters with the coupling set to the critical value."""
-        return ModelParams(self.n_atoms, self.omega, self.delta, self.lambda_c)
 
 
 _CONFIG_KEYS = {"n_atoms", "omega", "delta", "lambda", "alpha"}

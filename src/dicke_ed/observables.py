@@ -163,7 +163,8 @@ def converge(
     Accepts once every tracked observable changes relatively by less than
     ``threshold`` between consecutive schedule entries; raises
     ConvergenceError (history attached) if the schedule runs out.  ``sector``
-    picks the parity block the solve happens in ("full" to skip projection);
+    picks the parity block the solve happens in; "full" solves both and keeps
+    the lower (``ground.sector`` names it, while ``sector`` stays "full").
     ``basis`` selects the displaced ("dcs") or bare ("dfs") assembly.
 
     ``track`` defaults to the energy, the usual acceptance criterion for
@@ -185,17 +186,14 @@ def converge(
     prev = None
     prev_gs = None
     for n_tr in schedule:
-        h = assemble(params, n_tr, max_dim=max_dim)
-        if sector != "full":
-            h = project_parity(h, sector)
+        h = project_parity(assemble(params, n_tr, max_dim=max_dim), sector)
         v0 = None
         if prev_gs is not None:
             # warm start: previous solution zero-padded to the new truncation
             old = prev_gs.table
             padded = np.zeros((params.n_atoms + 1, n_tr + 1))
             padded[:, : old.shape[1]] = old[:, : n_tr + 1]
-            flat = padded.reshape(-1)
-            v0 = h.restrict(flat) if sector != "full" else flat
+            v0 = padded.reshape(-1)
         gs = ground_state(h, tol=solver_tol, seed=seed, dense=dense, v0=v0)
         vals = _observable_set(gs, params) if spin else {"e0": gs.energy}
         prev_gs = gs

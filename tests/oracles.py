@@ -322,7 +322,7 @@ def to_bare_table(gs, params, cutoff: int) -> np.ndarray:
     ksigns = np.where(np.arange(K) % 2, -1.0, 1.0)
     out = np.empty((C.shape[0], cutoff + 1))
     for i, n in enumerate(n_vals):
-        g = params.g(n)
+        g = params.big_g * n
         T = np.array(
             [[displaced_overlap(l, k, -g) for k in range(K)] for l in range(cutoff + 1)]
         )
@@ -448,6 +448,7 @@ def parity_operator(n_atoms: int, n_tr: int) -> ParityOperator:
 
 
 def norm_estimate(h) -> float:
-    """Gershgorin upper bound on the spectral radius of an assembled matrix."""
-    lowest, highest = gershgorin(h.band(trim=False))
+    """Gershgorin upper bound on the spectral radius of an assembled matrix;
+    for a parity sector, that of the whole matrix, which bounds it too."""
+    lowest, highest = gershgorin(getattr(h, "full", h).band())
     return max(-lowest, highest)

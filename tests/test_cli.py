@@ -74,6 +74,22 @@ class TestSolve:
         assert float(row["B_N"]) == pytest.approx(0.0, abs=1e-10)
         assert row["parity"] == "even"
 
+    @pytest.mark.parametrize("n_atoms,lam,winner", [("31", "2", "odd"), ("32", "0.3", "even")])
+    def test_parity_full_prints_the_lower_sector(self, tmp_path, capsys, n_atoms, lam, winner):
+        """``--parity full`` prints the E0 bytes of the lower of the even and
+        odd runs, and keeps ``full`` in its parity column."""
+        rows = {}
+        for parity in ("full", "even", "odd"):
+            code, out, _ = run(capsys, "solve", "--n-atoms", n_atoms, "--lambda", lam,
+                               "--parity", parity, "--workers", "1",
+                               "--out-dir", str(tmp_path))
+            assert code == 0
+            rows[parity] = read_rows(out)[0]
+        lower = min(("even", "odd"), key=lambda s: float(rows[s]["E0"]))
+        assert rows["full"]["E0"] == rows[lower]["E0"] == rows[winner]["E0"]
+        assert rows["full"]["parity"] == "full"
+        assert float(rows["full"]["residual"]) < 1e-10
+
     def test_cache_hit_identical_output(self, tmp_path, capsys):
         argv = ("solve", "--n-atoms", "8", "--lambda", "0.4",
                 "--out-dir", str(tmp_path))

@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, eigh
 
 from dicke_ed import eigen, hamiltonian
+from dicke_ed.cli import main
 from dicke_ed.errors import ConvergenceError
 from dicke_ed.eigen import ShiftTest, ground_state
 from dicke_ed.hamiltonian import (
@@ -18,11 +19,13 @@ from oracles import lowest_pair, norm_estimate, parity_operator
 
 LAMBDAS = (0.0, 0.3, 0.5, 1.0, 2.0)
 SECTORS = ("even", "odd", "full")
-# dfs:20 is boson-major in a parity sector for N <= 32; dfs:4 at N = 32 is not
+# dfs:20 is boson-major in a parity sector for N <= 32; dfs:4 at N = 32 is not.
+# The last case is the strong-coupling doublet, |E_even - E_odd| < 1e-6.
 CERT_GRID = list(itertools.product(
     (1, 2, 3, 5, 8, 13, 32), LAMBDAS,
     (("dcs", 4), ("dcs", 7), ("dfs", 20)), SECTORS,
-)) + list(itertools.product((32,), LAMBDAS, (("dfs", 4),), SECTORS))
+)) + list(itertools.product((32,), LAMBDAS, (("dfs", 4),), SECTORS)) + [
+    (8, 1.0, ("dcs", 24), "full")]
 # D = 10 at the critical coupling: the displaced-basis band is trimmed to K + w rows
 LAM_C10 = critical_coupling(1.0, 10.0)
 TRIM_GRID = list(itertools.product(
@@ -84,8 +87,7 @@ class TestGroundState:
         gs_small = ground_state(project_parity(assemble_dcs(p, 8), "even"))
         padded = np.zeros((65, 11))
         padded[:, :9] = gs_small.table
-        v0 = h.restrict(padded.reshape(-1))
-        warm = ground_state(h, v0=v0)
+        warm = ground_state(h, v0=padded.reshape(-1))
         assert warm.energy == pytest.approx(cold.energy, abs=1e-9)
         assert warm.iterations <= cold.iterations
 
@@ -98,7 +100,7 @@ class TestGroundState:
         h = project_parity(assemble_dcs(p, 96), "even")
         padded = np.zeros((33, 97))
         padded[:, :65] = small.table
-        warm = ground_state(h, v0=h.restrict(padded.reshape(-1)))
+        warm = ground_state(h, v0=padded.reshape(-1))
         assert warm.factorizations == 2
         assert warm.iterations > warm.factorizations
         exact = eigh(h.to_dense(), subset_by_index=(0, 0), eigvals_only=True)[0]
@@ -107,9 +109,11 @@ class TestGroundState:
 
     def test_reports_factored_bandwidth(self):
         """The N = 32 bare sector at cutoff 100 factors a band S' = 17 wide;
-        in sector-major order it would be n_tr + 1 = 101."""
-        h = project_parity(assemble_dfs(ModelParams(32, 1.0, 1.0, 0.5), 100), "even")
-        assert ground_state(h).bandwidth <= 18
+        in sector-major order it would be n_tr + 1 = 101.  The unprojected
+        matrix is solved as its two sectors, so it factors the same width."""
+        full = assemble_dfs(ModelParams(32, 1.0, 1.0, 0.5), 100)
+        assert ground_state(project_parity(full, "even")).bandwidth <= 18
+        assert ground_state(full).bandwidth <= 18
         small = project_parity(assemble_dfs(ModelParams(32, 1.0, 1.0, 0.5), 4), "even")
         assert ground_state(small).bandwidth == 5
         assert ground_state(small, dense=True).bandwidth is None
@@ -134,6 +138,45 @@ class TestGroundState:
             for gs in (ground_state(h), ground_state(h, dense=True)):
                 assert min(np.max(np.abs(gs.vector - oracle)),
                            np.max(np.abs(gs.vector + oracle))) < 1e-7
+
+    @pytest.mark.parametrize("n_atoms,lam,winner", [(31, 2.0, "odd"), (32, 0.3, "even")])
+    def test_full_is_the_lower_sector(self, n_atoms, lam, winner):
+        """An unprojected matrix returns the lower sector's state, named by
+        ``sector``, with the lower of the two bounds and the summed counts."""
+        full = assemble_dcs(ModelParams(n_atoms, 1.0, 1.0, lam), 8)
+        gs = ground_state(full)
+        sectors = {s: ground_state(project_parity(full, s)) for s in ("even", "odd")}
+        assert gs.sector == winner
+        assert gs.energy == sectors[winner].energy == min(g.energy for g in sectors.values())
+        assert np.array_equal(gs.vector, sectors[winner].vector)
+        assert gs.lower_bound == min(g.lower_bound for g in sectors.values())
+        assert gs.factorizations == sum(g.factorizations for g in sectors.values())
+        assert gs.iterations == sum(g.iterations for g in sectors.values())
+        assert gs.bandwidth == max(g.bandwidth for g in sectors.values())
+        exact = eigh(full.to_dense(), subset_by_index=(0, 0), eigvals_only=True)[0]
+        assert gs.lower_bound <= exact <= gs.energy + 1e-12 * abs(exact)
+
+    def test_full_factors_only_sector_bands(self, monkeypatch, tmp_path, capsys):
+        """During a ``--parity full`` solve every ShiftTest is built on the band
+        of one parity sector, never on the unprojected matrix."""
+        seen = []
+
+        class Recording(ShiftTest):
+            def __init__(self, ab, dropped=0.0):
+                seen.append(ab.copy())
+                super().__init__(ab, dropped)
+
+        monkeypatch.setattr(eigen, "ShiftTest", Recording)
+        assert main(["solve", "--n-atoms", "31", "--lambda", "2", "--parity", "full",
+                     "--workers", "1", "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        p = ModelParams(31, 1.0, 1.0, 2.0)
+        assert seen
+        for ab in seen:
+            # a sector of N = 31 holds 16 spin sectors of n_tr + 1 bosons each
+            h = assemble_dcs(p, ab.shape[1] // 16 - 1)
+            assert any(np.array_equal(ab, project_parity(h, sector).band())
+                       for sector in ("even", "odd"))
 
     def test_bad_tolerance(self):
         op = assemble_dcs(ModelParams(3, 1.0, 1.0, 0.5), 2)
@@ -196,7 +239,7 @@ class TestCertificate:
         h = sector_matrix(6, 0.7, "dcs", 6, "even")
         vals, vecs = eigh(h.to_dense(), subset_by_index=(0, 1))
         with pytest.raises(ConvergenceError) as info:
-            ground_state(h, v0=vecs[:, 1])
+            ground_state(h, v0=h.expand(vecs[:, 1]))
         assert info.value.residual is not None
         assert 0.0 <= info.value.residual <= 1e-10 * abs(vals[1])
 

@@ -24,6 +24,7 @@ CASES = {
                                      "--dense-oracle", "--lambdas", "0:2:0.5",
                                      "--cases", "dcs:4,dfs:20"],
     "solve-n32.csv": ["solve", "--n-atoms", "32", "--lambda", "1"],
+    "solve-n31-full.csv": ["solve", "--n-atoms", "31", "--lambda", "2", "--parity", "full"],
     "solve-n1024-critical.csv": ["solve", "--n-atoms", "1024", "--omega", "1",
                                  "--delta", "1", "--lambda", "0.5"],
     "converge-critical-n16-128.csv": ["converge", "--at-critical", "--N", "16..128"],

@@ -86,7 +86,6 @@ class TestModelParams:
     def test_derived_quantities(self):
         p = ModelParams(8, 2.0, 1.0, 0.6)
         assert p.j == 4.0
-        assert p.big_d == pytest.approx(0.5)
         assert p.alpha == pytest.approx(4 * 0.36 / 2.0)
         assert p.big_g == pytest.approx(2 * 0.6 / (2.0 * math.sqrt(8)))
 
@@ -97,8 +96,8 @@ class TestModelParams:
 
     def test_displacement_antisymmetry(self):
         p = ModelParams(6, 1.0, 1.3, 0.4)
-        for m in p.sector_values():
-            assert p.g(-m) == pytest.approx(-p.g(m), abs=1e-15)
+        g = p.big_g * p.sector_values()
+        assert np.allclose(g, -g[::-1], rtol=0.0, atol=1e-15)
 
     def test_step_identity(self):
         p = ModelParams(12, 1.7, 0.9, 0.35)
@@ -115,7 +114,7 @@ class TestModelParams:
             ModelParams(4, 1.0, 1.0, -0.1)
 
     def test_at_critical(self):
-        p = ModelParams(16, 1.0, 4.0, 0.0).at_critical()
+        p = ModelParams(16, 1.0, 4.0, critical_coupling(1.0, 4.0))
         assert p.lam == pytest.approx(1.0)
         assert p.alpha == pytest.approx(1.0)
 
