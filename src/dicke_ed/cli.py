@@ -17,11 +17,12 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 
 from .errors import ConfigError, ConvergenceError, DimensionCapError, FitError
 from .hamiltonian import assemble_dcs, assemble_dfs, dump_coo, project_parity
 from .eigen import ground_state
-from .model import ModelParams, critical_coupling, params_from_mapping
+from .model import CONFIG_KEYS, critical_coupling, params_from_mapping
 from .observables import CSV_COLUMNS, DEFAULT_SCHEDULE, OBSERVABLES, converge, result_row
 from .scaling import (
     MIN_SERIES_POINTS,
@@ -151,15 +152,12 @@ def read_config_file(path: str) -> dict:
     return mapping
 
 
-_MODEL_KEYS = ("n_atoms", "omega", "delta", "lambda", "alpha")
-
-
 def _model_mapping(args) -> dict:
     """The model keys of ``--config``, overridden by the explicit flags."""
     mapping = {}
     if getattr(args, "config", None):
         file_map = read_config_file(args.config)
-        unknown = set(file_map) - set(_MODEL_KEYS)
+        unknown = set(file_map) - CONFIG_KEYS
         if unknown:
             raise ConfigError(
                 f"{args.config}: unknown key(s) {', '.join(sorted(unknown))}"
@@ -187,12 +185,10 @@ def _add_common(sub):
                      help="result store root (default $DICKE_ED_RESULTS or ./results)")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                     help="parallel parameter points; 1 = bit-exact reproducibility")
+                     help="parallel parameter points; the output does not depend on it")
     sub.add_argument("--solver-tol", type=float, default=1e-10)
     sub.add_argument("--max-dim", type=int, default=None,
                      help="override the matrix dimension cap")
-    sub.add_argument("--dense-oracle", action="store_true",
-                     help="force dense diagonalization (small systems only)")
 
 
 def _add_model(sub):
@@ -219,6 +215,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         _add_model(sub)
     if sub is not None:
         _add_common(sub)
+    if command in ("solve", "compare"):
+        sub.add_argument("--dense-oracle", action="store_true",
+                         help="force dense diagonalization (small systems only)")
     if command == "solve":
         sub.add_argument("--threshold", type=float, default=1e-6)
         sub.add_argument("--ntr-schedule", default=None,
@@ -236,7 +235,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         sub.add_argument("--parity", choices=("even", "odd", "full"), default="even")
     elif command == "converge":
         sub.add_argument("--lambdas", default=None, help="coupling grid (fixed-N mode)")
-        sub.add_argument("--ntr-list", default="4,6,8",
+        sub.add_argument("--ntr-list", default=None,
                          help="truncations whose deviation from converged is mapped")
         sub.add_argument("--at-critical", action="store_true",
                          help="sweep N at the critical coupling instead of sweeping lambda")
@@ -254,7 +253,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         sub.add_argument("--threshold", type=float, default=None,
                          help="per-point convergence threshold (default " + ", ".join(
                              f"{t:g} {obs}" for obs, (_, t) in SERIES.items()) + ")")
-        sub.add_argument("--c-inf", default="fit",
+        sub.add_argument("--c-inf", default=None,
                          help="'fit' or an explicit thermodynamic concurrence value")
     return parser
 
@@ -316,17 +315,15 @@ def cmd_solve(args) -> int:
     return _run_cached(args, "solve", options, compute)
 
 
-def _compare_cell(job) -> dict:
-    (n_atoms, omega, delta, lam, basis, n_tr, parity, seed, solver_tol,
-     dense, max_dim) = job
-    row = {
-        "lambda": lam, "basis": basis, "n_tr": n_tr,
-        "E0": math.nan, "E0_scaled": math.nan, "status": "ok",
-    }
+def _compare_cell(cell: dict, *, params, parity: str, max_dim, solver_tol: float,
+                  seed: int, dense: bool) -> dict:
+    """One (lambda, basis, n_tr) cell of the compare table; a failed solve
+    marks the cell instead of ending the run."""
+    row = {**cell, "E0": math.nan, "E0_scaled": math.nan, "status": "ok"}
     try:
-        params = ModelParams(n_atoms, omega, delta, lam)
-        assemble = assemble_dcs if basis == "dcs" else assemble_dfs
-        h = project_parity(assemble(params, n_tr, max_dim=max_dim), parity)
+        params = replace(params, lam=cell["lambda"])
+        assemble = assemble_dcs if cell["basis"] == "dcs" else assemble_dfs
+        h = project_parity(assemble(params, cell["n_tr"], max_dim=max_dim), parity)
         gs = ground_state(h, tol=solver_tol, seed=seed, dense=dense)
         row["E0"] = gs.energy
         row["E0_scaled"] = gs.energy / (params.j * params.delta)
@@ -348,30 +345,29 @@ def cmd_compare(args) -> int:
     }
 
     def compute():
-        jobs = [
-            (params.n_atoms, params.omega, params.delta, lam, basis, n_tr,
-             args.parity, args.seed, args.solver_tol, bool(args.dense_oracle),
-             args.max_dim)
-            for lam in lambdas for (basis, n_tr) in cases
-        ]
-        rows = run_jobs(_compare_cell, jobs, args.workers)
+        cells = [{"lambda": lam, "basis": basis, "n_tr": n_tr}
+                 for lam in lambdas for (basis, n_tr) in cases]
+        rows = run_jobs(_compare_cell, cells, args.workers, params=params,
+                        parity=args.parity, max_dim=args.max_dim,
+                        solver_tol=args.solver_tol, seed=args.seed,
+                        dense=args.dense_oracle)
         columns = ("lambda", "basis", "n_tr", "E0", "E0_scaled", "status")
         return {".csv": csv_text(columns, rows)}, []
 
     return _run_cached(args, "compare", options, compute)
 
 
-def _converge_lambda_point(job) -> list:
-    (n_atoms, omega, delta, lam, ntr_list, threshold, seed, solver_tol) = job
-    params = ModelParams(n_atoms, omega, delta, lam)
+def _converge_lambda_point(lam: float, *, params, ntr_list: list, threshold: float,
+                           seed: int, solver_tol: float, max_dim) -> list:
+    params = replace(params, lam=lam)
     ref = converge(
         params, threshold=min(threshold, 1e-8), schedule=SCALING_SCHEDULE,
-        track=("e0",), solver_tol=solver_tol, seed=seed,
+        track=("e0",), solver_tol=solver_tol, seed=seed, max_dim=max_dim,
     )
     e_ref = ref.energy
     rows = []
     for n_tr in ntr_list:
-        h = project_parity(assemble_dcs(params, n_tr), "even")
+        h = project_parity(assemble_dcs(params, n_tr, max_dim=max_dim), "even")
         gs = ground_state(h, tol=solver_tol, seed=seed)
         rows.append({
             "lambda": lam, "n_tr": n_tr, "E0": gs.energy, "E0_ref": e_ref,
@@ -380,8 +376,18 @@ def _converge_lambda_point(job) -> list:
     return rows
 
 
+def _refuse_unused(args, why: str, *flags) -> None:
+    """Exit 2 naming the first given flag of ``flags`` ((flag, dest) pairs):
+    the chosen mode does not read it."""
+    for flag, dest in flags:
+        if getattr(args, dest) is not None:
+            raise ConfigError(f"{flag} has no meaning {why}")
+
+
 def cmd_converge(args) -> int:
     if args.at_critical:
+        _refuse_unused(args, "with --at-critical",
+                       ("--lambdas", "lambdas"), ("--ntr-list", "ntr_list"))
         if not args.n_range:
             raise ConfigError("--at-critical needs --N")
         n_list = parse_n_list(args.n_range)
@@ -408,7 +414,8 @@ def cmd_converge(args) -> int:
             lam_c = critical_coupling(omega, delta)
             sweep = observable_sweep(
                 delta, n_list, lam=lam_c, omega=omega, threshold=args.threshold,
-                seed=args.seed, solver_tol=args.solver_tol, workers=args.workers,
+                workers=args.workers, seed=args.seed, solver_tol=args.solver_tol,
+                max_dim=args.max_dim,
             )
             rows = [{"N": n, "lambda": lam_c, "ntr_used": row["n_tr_used"], "E0": row["e0"]}
                     for n, row in zip(n_list, sweep)]
@@ -419,11 +426,12 @@ def cmd_converge(args) -> int:
 
         return _run_cached(args, "converge", options, compute)
 
+    _refuse_unused(args, "without --at-critical", ("--N", "n_range"))
     if not args.lambdas:
         raise ConfigError("converge needs --lambdas (or --at-critical with --N)")
     params = params_from_mapping(_model_mapping(args))
     lambdas = parse_float_list(args.lambdas)
-    ntr_list = list(parse_schedule(args.ntr_list))
+    ntr_list = list(parse_schedule("4,6,8" if args.ntr_list is None else args.ntr_list))
     options = {
         "mode": "lambda_map", "n_atoms": params.n_atoms,
         "omega": params.omega, "delta": params.delta,
@@ -433,12 +441,9 @@ def cmd_converge(args) -> int:
     }
 
     def compute():
-        jobs = [
-            (params.n_atoms, params.omega, params.delta, lam, ntr_list,
-             args.threshold, args.seed, args.solver_tol)
-            for lam in lambdas
-        ]
-        nested = run_jobs(_converge_lambda_point, jobs, args.workers)
+        nested = run_jobs(_converge_lambda_point, lambdas, args.workers, params=params,
+                          ntr_list=ntr_list, threshold=args.threshold, seed=args.seed,
+                          solver_tol=args.solver_tol, max_dim=args.max_dim)
         rows = [row for group in nested for row in group]
         lam_c = critical_coupling(params.omega, params.delta)
         notes = []
@@ -461,7 +466,9 @@ def cmd_scaling(args) -> int:
     threshold = args.threshold
     if threshold is None:
         threshold = SERIES[args.observable][1]
-    c_inf = args.c_inf
+    if args.observable != "concurrence":
+        _refuse_unused(args, f"with --observable {args.observable}", ("--c-inf", "c_inf"))
+    c_inf = "fit" if args.c_inf is None else args.c_inf
     if c_inf != "fit":
         try:
             c_inf = float(c_inf)
@@ -478,8 +485,8 @@ def cmd_scaling(args) -> int:
         for big_d in d_list:
             series = deviation_series(
                 args.observable, big_d, tuple(n_list), omega=args.omega,
-                threshold=threshold, c_inf=c_inf, seed=args.seed,
-                solver_tol=args.solver_tol, workers=args.workers,
+                threshold=threshold, c_inf=c_inf, workers=args.workers,
+                seed=args.seed, solver_tol=args.solver_tol, max_dim=args.max_dim,
             )
             fit = extrapolate_exponent(series)
             for n, v, ntr in zip(series.n_values, series.values, series.meta["n_tr_used"]):
@@ -524,13 +531,15 @@ _COMMANDS = {
 }
 
 
-def _check_tolerances(args) -> None:
-    """Refuse a non-positive tolerance before any solve (compare would record
-    it as a failed cell per point)."""
+def _check_numbers(args) -> None:
+    """Refuse a non-positive tolerance or a negative seed before any solve
+    (compare would record either as a failed cell per point)."""
     for name in ("threshold", "solver_tol"):
         value = getattr(args, name, None)
         if value is not None and not value > 0.0:
             raise ConfigError(f"--{name.replace('_', '-')} must be positive, got {value!r}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
 
 
 def main(argv=None) -> int:
@@ -539,7 +548,7 @@ def main(argv=None) -> int:
     command = next((a for a in argv if not a.startswith("-")), None)
     args = build_parser(command).parse_args(argv)
     try:
-        _check_tolerances(args)
+        _check_numbers(args)
         return _COMMANDS[args.command][0](args)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")

@@ -46,7 +46,6 @@ full size.
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -59,16 +58,13 @@ _RESCALE_LO = 1e-250
 
 @dataclass(frozen=True)
 class OverlapKernel:
-    """Immutable (n_tr+1) x (n_tr+1) table of displaced-Fock overlaps.
-
-    ``kind`` is "alternating" for the symmetric B table (dress externally) or
-    "displacement" for the signed physical table <l|D(delta)|k>.  ``peaks[d]``
-    is max |table[l, l - d]| over the table, d = 0..n_tr (cached tables).
+    """Immutable (n_tr+1) x (n_tr+1) alternating table B of displaced-Fock
+    overlaps (dress it with :meth:`signed`).  ``peaks[d]`` is
+    max |table[l, l - d]| over the table, d = 0..n_tr.
     """
 
     delta: float
     table: np.ndarray = field(repr=False)
-    kind: str = "alternating"
     peaks: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -79,13 +75,11 @@ class OverlapKernel:
         return self.table.shape[0] - 1
 
     def signed(self, direction: str) -> np.ndarray:
-        """Sign-dressed copy of an alternating table.
+        """Sign-dressed copy of the table.
 
         "up"   -> (-1)^k B[l, k]   (coupling to the next sector up)
         "down" -> (-1)^l B[l, k]   (coupling to the next sector down)
         """
-        if self.kind != "alternating":
-            raise ValueError("sign dressing applies to alternating tables only")
         size = self.table.shape[0]
         signs = np.where(np.arange(size) % 2, -1.0, 1.0)
         if direction == "up":
@@ -177,14 +171,9 @@ def _grown_table(g: float, size: int) -> tuple[np.ndarray, np.ndarray]:
     return table[:size, :size], peaks[size - 1, :size]
 
 
-@lru_cache(maxsize=128)
-def _overlap_kernel_cached(g: float, n_tr: int) -> OverlapKernel:
-    table, peaks = _grown_table(g, n_tr + 1)
-    return OverlapKernel(delta=g, table=table, kind="alternating", peaks=peaks)
-
-
 def overlap_kernel(g: float, n_tr: int) -> OverlapKernel:
-    """Alternating overlap table B_{l,k}(g) for l, k = 0..n_tr (cached).
+    """Alternating overlap table B_{l,k}(g) for l, k = 0..n_tr, read from the
+    table kept for ``g``.
 
     B_{l,k} = (-1)^k <l|D(g)|k> = the symmetric table in the module docstring.
     """
@@ -192,4 +181,6 @@ def overlap_kernel(g: float, n_tr: int) -> OverlapKernel:
         raise ValueError(f"kernel argument must be >= 0, got {g}")
     if n_tr < 0:
         raise ValueError(f"n_tr must be >= 0, got {n_tr}")
-    return _overlap_kernel_cached(float(g), int(n_tr))
+    g = float(g)
+    table, peaks = _grown_table(g, int(n_tr) + 1)
+    return OverlapKernel(delta=g, table=table, peaks=peaks)

@@ -88,7 +88,7 @@ class ModelParams:
         return 0.5 * np.sqrt(j * (j + 1.0) - n * (n + 1))
 
 
-_CONFIG_KEYS = {"n_atoms", "omega", "delta", "lambda", "alpha"}
+CONFIG_KEYS = {"n_atoms", "omega", "delta", "lambda", "alpha"}
 
 
 def params_from_mapping(mapping: dict) -> ModelParams:
@@ -98,7 +98,7 @@ def params_from_mapping(mapping: dict) -> ModelParams:
     (alpha is converted via lam = sqrt(alpha*delta*omega)/2).  Raises
     ConfigError naming the offending key on any problem.
     """
-    unknown = set(mapping) - _CONFIG_KEYS
+    unknown = set(mapping) - CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
     if "n_atoms" not in mapping:

@@ -117,7 +117,6 @@ class ConvergedResult:
     rel_change: dict
     sector: str
     ground: GroundState = field(repr=False)
-    threshold: float
 
     @property
     def values(self) -> dict:
@@ -209,7 +208,6 @@ def converge(
                     rel_change=rel,
                     sector=sector,
                     ground=gs,
-                    threshold=threshold,
                 )
         prev = vals
     raise ConvergenceError(

@@ -8,6 +8,7 @@ half of the series against an estimated correction power (see
 intercept.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -167,18 +168,11 @@ def extrapolate_exponent(series: ScalingSeries) -> ExponentFit:
     )
 
 
-def _sweep_point(args) -> dict:
-    (n, omega, delta, lam, threshold, track, schedule, seed, solver_tol) = args
+def _sweep_point(n: int, *, omega: float, delta: float, lam: float, track: tuple,
+                 **settings) -> dict:
     params = ModelParams(n, omega, delta, lam)
     try:
-        res = converge(
-            params,
-            threshold=threshold,
-            schedule=schedule,
-            track=track,
-            solver_tol=solver_tol,
-            seed=seed,
-        )
+        res = converge(params, track=track, **settings)
     except ConvergenceError as exc:
         raise ConvergenceError(
             f"sweep point N={n} failed: {exc}",
@@ -188,7 +182,6 @@ def _sweep_point(args) -> dict:
     # an energy sweep reads only E0: leave the accepted state's spin moments unbuilt
     out = {"e0": res.energy} if set(track) == {"e0"} else dict(res.values)
     out["n_tr_used"] = res.n_tr_used
-    out["residual"] = res.ground.residual
     return out
 
 
@@ -200,38 +193,39 @@ def observable_sweep(
     threshold: float = 1e-8,
     track: tuple = ("e0",),
     schedule: tuple = SCALING_SCHEDULE,
-    seed: int = 0,
-    solver_tol: float = 1e-10,
     workers: int = 1,
+    **settings,
 ) -> list[dict]:
     """Converged observables for each N at fixed (delta, coupling).
 
     Each row holds E0 alone when ``track`` is the energy alone, and every
-    observable otherwise.
+    observable otherwise, with the accepted truncation as ``n_tr_used``.
 
     The coupling defaults to the critical one for (omega, delta); delta is
-    passed to the solver as given.  Points are independent jobs; results are
-    returned in the order of ``n_list`` regardless of completion order.
-    Solver failures propagate with the offending N attached.
+    passed to the solver as given.  The remaining keyword arguments (``seed``,
+    ``solver_tol``, ``max_dim``, ...) go to :func:`converge` unchanged.
+    Points are independent jobs; results are returned in the order of
+    ``n_list`` regardless of completion order.  Solver failures propagate
+    with the offending N attached.
     """
     if lam is None:
         lam = critical_coupling(omega, delta)
-    jobs = [
-        (int(n), omega, delta, lam, threshold, track, schedule, seed, solver_tol)
-        for n in n_list
-    ]
-    return run_jobs(_sweep_point, jobs, workers)
+    return run_jobs(_sweep_point, [int(n) for n in n_list], workers, omega=omega,
+                    delta=delta, lam=lam, threshold=threshold, track=track,
+                    schedule=schedule, **settings)
 
 
-def run_jobs(fn, jobs: list, workers: int) -> list:
-    """``[fn(job) for job in jobs]``, in a process pool when ``workers`` > 1 and
-    there is more than one job; only then is the pool machinery imported."""
-    if workers > 1 and len(jobs) > 1:
+def run_jobs(fn, items: list, workers: int, **shared) -> list:
+    """``[fn(item, **shared) for item in items]``, in a process pool when
+    ``workers`` > 1 and there is more than one item; only then is the pool
+    machinery imported."""
+    call = functools.partial(fn, **shared)
+    if workers > 1 and len(items) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, jobs))
-    return [fn(job) for job in jobs]
+            return list(pool.map(call, items))
+    return [call(item) for item in items]
 
 
 _CORRECTION_POWER = 1.0 / 3.0

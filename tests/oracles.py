@@ -262,13 +262,14 @@ def scalar_kernel_table(g: float, n_tr: int) -> np.ndarray:
 
 
 def displacement_table(delta: float, n_tr: int) -> OverlapKernel:
-    """Signed physical table <l|D(delta)|k> for l, k = 0..n_tr."""
+    """Signed physical table <l|D(delta)|k> for l, k = 0..n_tr, already
+    dressed: unlike an alternating table, it takes no further ``signed``."""
     if n_tr < 0:
         raise ValueError(f"n_tr must be >= 0, got {n_tr}")
     size = n_tr + 1
     table = np.array([[displaced_overlap(l, k, delta) for k in range(size)]
                       for l in range(size)])
-    return OverlapKernel(delta=delta, table=table, kind="displacement")
+    return OverlapKernel(delta=delta, table=table)
 
 
 def unitarity_defect(kernel: OverlapKernel) -> float:

@@ -290,14 +290,6 @@ class TestConvergeCommand:
         assert code == 0
         assert out == (GOLDEN / "converge-critical-w0.3-d0.7.csv").read_text()
 
-    def test_at_critical_workers_keep_bytes(self, tmp_path, capsys):
-        argv = ("converge", "--at-critical", "--omega", "0.3", "--delta", "0.7",
-                "--N", "16,32,64")
-        outs = [run(capsys, *argv, "--workers", w, "--out-dir", str(tmp_path / w))
-                for w in ("1", "2")]
-        assert outs[0] == outs[1]
-        assert outs[0][0] == 0
-
     def test_requires_grid(self, tmp_path, capsys):
         code, _, err = run(capsys, "converge", "--n-atoms", "8",
                            "--out-dir", str(tmp_path))
@@ -345,6 +337,32 @@ class TestScalingCommand:
         assert "cache hit" in err2
 
 
+@pytest.mark.parametrize("argv", [
+    ("converge", "--at-critical", "--omega", "0.3", "--delta", "0.7", "--N", "16,32,64"),
+    ("compare", "--n-atoms", "12", "--lambdas", "0:1:0.5", "--cases", "dcs:4,dfs:20"),
+    ("scaling", "--observable", "concurrence", "--D", "1", "--N", "16..128"),
+], ids=["converge-at-critical", "compare", "scaling"])
+def test_workers_keep_bytes(tmp_path, capsys, argv):
+    """The worker count changes neither stdout nor the stderr summary."""
+    outs = [run(capsys, *argv, "--workers", w, "--out-dir", str(tmp_path / w))
+            for w in ("1", "2")]
+    assert outs[0] == outs[1]
+    assert outs[0][0] == 0
+
+
+@pytest.mark.parametrize("argv,dim", [
+    (("scaling", "--observable", "energy", "--D", "1", "--N", "16..128"), "85 = (16+1)*(4+1)"),
+    (("converge", "--at-critical", "--N", "16,32"), "85 = (16+1)*(4+1)"),
+    (("converge", "--n-atoms", "32", "--lambdas", "0.5"), "165 = (32+1)*(4+1)"),
+])
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_max_dim_reaches_every_command(tmp_path, capsys, argv, dim, workers):
+    code, out, err = run(capsys, *argv, "--max-dim", "50", "--workers", workers,
+                         "--out-dir", str(tmp_path))
+    assert (code, out) == (4, "")
+    assert err == f"resource cap: dimension {dim} exceeds cap 50\n"
+
+
 class TestBadNumbersExit2:
     """Bad numbers end in exit 2 with context, before any solve."""
 
@@ -371,6 +389,38 @@ class TestBadNumbersExit2:
                              "--out-dir", str(tmp_path))
         assert code == 2 and out == ""
         assert f"config error: {flag} must be positive" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--n-atoms", "4", "--lambda", "0.3"),
+        ("compare", "--n-atoms", "4", "--lambdas", "0.3"),
+        ("converge", "--n-atoms", "4", "--lambdas", "0.3"),
+        ("converge", "--at-critical", "--N", "16,32"),
+        ("scaling", "--observable", "energy", "--D", "1", "--N", "16..128"),
+    ])
+    def test_negative_seed(self, tmp_path, capsys, argv):
+        code, out, err = run(capsys, *argv, "--seed=-1", "--workers", "1",
+                             "--out-dir", str(tmp_path))
+        assert code == 2 and out == ""
+        assert "config error: --seed must be non-negative, got -1" in err
+
+    @pytest.mark.parametrize("argv,flag,why", [
+        (("converge", "--at-critical", "--N", "16,32", "--lambdas", "0.5"),
+         "--lambdas", "with --at-critical"),
+        (("converge", "--at-critical", "--N", "16,32", "--ntr-list", "4"),
+         "--ntr-list", "with --at-critical"),
+        (("converge", "--at-critical", "--N", "16,32", "--lambdas", "0.5", "--ntr-list", "4"),
+         "--lambdas", "with --at-critical"),
+        (("converge", "--n-atoms", "16", "--lambdas", "0.5", "--N", "16,32"),
+         "--N", "without --at-critical"),
+        (("scaling", "--observable", "energy", "--D", "1", "--c-inf", "0.3"),
+         "--c-inf", "with --observable energy"),
+        (("scaling", "--observable", "berry", "--D", "1", "--c-inf", "fit"),
+         "--c-inf", "with --observable berry"),
+    ])
+    def test_flag_the_mode_ignores(self, tmp_path, capsys, argv, flag, why):
+        code, out, err = run(capsys, *argv, "--workers", "1", "--out-dir", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err == f"config error: {flag} has no meaning {why}\n"
 
     @pytest.mark.parametrize("extra,message", [
         (("--N", "16..64"), "at least 4 sizes"),
@@ -450,6 +500,18 @@ class TestArgparseBehavior:
         with pytest.raises(SystemExit) as info:
             main(["scaling", "--D", "1"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["scaling", "--observable", "energy", "--D", "1"],
+        ["converge", "--at-critical", "--N", "16,32"],
+        ["converge", "--n-atoms", "8", "--lambdas", "0.5"],
+    ])
+    def test_dense_oracle_only_where_used(self, capsys, argv):
+        """Only solve and compare pass --dense-oracle to the solver."""
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--dense-oracle"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --dense-oracle" in capsys.readouterr().err
 
 
 FOOTPRINT = """

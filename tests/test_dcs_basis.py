@@ -56,8 +56,12 @@ class TestTableValues:
             norms = np.sum(T * T, axis=0)
             assert np.all(norms <= 1.0 + 1e-12)
 
-    def test_cache_returns_same_object(self):
-        assert overlap_kernel(0.5, 12) is overlap_kernel(0.5, 12)
+    def test_cache_reuses_the_kept_table(self):
+        """A repeated or smaller request reads the one table kept for its
+        displacement: nothing is computed or copied again."""
+        kept = overlap_kernel(0.5, 12).table
+        for n_tr in (12, 7):
+            assert np.shares_memory(overlap_kernel(0.5, n_tr).table, kept)
 
     def test_table_immutable(self):
         K = overlap_kernel(0.5, 6)
@@ -96,10 +100,6 @@ class TestSignConvention:
         K = overlap_kernel(g, 20)
         assert np.array_equal(K.signed("up"), displacement_table(+g, 20).table)
         assert np.array_equal(K.signed("down"), displacement_table(-g, 20).table)
-
-    def test_dressing_requires_alternating_kind(self):
-        with pytest.raises(ValueError):
-            displacement_table(0.5, 4).signed("up")
 
 
 class TestDisplacedOverlap:
@@ -192,7 +192,6 @@ class TestVectorizedBuilder:
 
     @staticmethod
     def _forget_tables():
-        dcs_basis._overlap_kernel_cached.cache_clear()
         dcs_basis._GROWN.clear()
 
     @pytest.mark.parametrize("n_tr", [0, 1, 4, 7, 64, 129, 160, 193])
