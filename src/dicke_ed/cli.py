@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .errors import ConfigError, ConvergenceError, DimensionCapError, FitError
 from .hamiltonian import assemble_dcs, assemble_dfs, dump_coo, project_parity
@@ -152,32 +152,34 @@ def read_config_file(path: str) -> dict:
     return mapping
 
 
-def _model_mapping(args) -> dict:
-    """The model keys of ``--config``, overridden by the explicit flags."""
-    mapping = {}
-    if getattr(args, "config", None):
+def _model_mapping(args, unread=(), why: str = "") -> dict:
+    """The model keys of ``--config``, overridden by the explicit flags.
+
+    A key of ``unread`` exits 2, naming the flag or the config key: the
+    command does not read it ``why``.
+    """
+    file_map = {}
+    if args.config:
         file_map = read_config_file(args.config)
         unknown = set(file_map) - CONFIG_KEYS
         if unknown:
             raise ConfigError(
                 f"{args.config}: unknown key(s) {', '.join(sorted(unknown))}"
             )
-        mapping.update(file_map)
-    # explicit flags override the file
-    if args.n_atoms is not None:
-        mapping["n_atoms"] = args.n_atoms
-    if args.omega is not None:
-        mapping["omega"] = args.omega
-    if args.delta is not None:
-        mapping["delta"] = args.delta
-    if args.lam is not None:
-        mapping["lambda"] = args.lam
-    if getattr(args, "alpha", None) is not None:
-        if args.lam is not None:
+    flags = {"n_atoms": args.n_atoms, "omega": args.omega, "delta": args.delta,
+             "lambda": getattr(args, "lam", None), "alpha": getattr(args, "alpha", None)}
+    flags = {key: value for key, value in flags.items() if value is not None}
+    for key in unread:
+        if key in flags:
+            raise ConfigError(f"--{key.replace('_', '-')} has no meaning {why}")
+        if key in file_map:
+            raise ConfigError(f"{args.config}: key {key!r} has no meaning {why}")
+    if "alpha" in flags:
+        if "lambda" in flags:
             raise ConfigError("give either --lambda or --alpha, not both")
-        mapping.pop("lambda", None)
-        mapping["alpha"] = args.alpha
-    return mapping
+        file_map.pop("lambda", None)
+    # explicit flags override the file
+    return {**file_map, **flags}
 
 
 def _add_common(sub):
@@ -191,12 +193,13 @@ def _add_common(sub):
                      help="override the matrix dimension cap")
 
 
-def _add_model(sub):
+def _add_model(sub, coupling: bool):
     sub.add_argument("--n-atoms", type=int, default=None)
     sub.add_argument("--omega", type=float, default=None)
     sub.add_argument("--delta", type=float, default=None)
-    sub.add_argument("--lambda", dest="lam", type=float, default=None)
-    sub.add_argument("--alpha", type=float, default=None)
+    if coupling:
+        sub.add_argument("--lambda", dest="lam", type=float, default=None)
+        sub.add_argument("--alpha", type=float, default=None)
     sub.add_argument("--config", default=None, help="flat key=value parameter file")
 
 
@@ -209,10 +212,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                     "in a displaced-Fock basis.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    sub = {name: subs.add_parser(name, help=text)
+    # no abbreviations: a flag a command lacks (--lambda) must not pass for
+    # one it has (--lambdas)
+    sub = {name: subs.add_parser(name, help=text, allow_abbrev=False)
            for name, (_, text) in _COMMANDS.items()}.get(command)
     if command in ("solve", "compare", "converge"):
-        _add_model(sub)
+        _add_model(sub, coupling=command == "solve")
     if sub is not None:
         _add_common(sub)
     if command in ("solve", "compare"):
@@ -258,64 +263,74 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _run_cached(args, command: str, options: dict, compute) -> int:
-    """Re-emit the stored run of this configuration, or compute and store it.
+def _run_cached(args, command: str, model: dict, settings: dict, compute) -> str:
+    """Re-emit the stored run of this configuration, or compute and store it;
+    return the primary file's text.
 
-    ``compute()`` returns the output files (file-name suffix -> text, the
-    primary file first, which goes to stdout) and summary lines that go to
-    stderr on a cold run only.  The digest covers ``command`` and ``options``;
-    the store root and worker count are recorded but never change the numbers.
+    ``compute(**settings)`` passes the settings on to the library call and
+    returns the output files (file-name suffix -> text, the primary file
+    first, which goes to stdout) and summary lines that go to stderr on a
+    cold run only.  The digest covers ``command``, ``model`` and
+    ``settings``, so nothing reaches the solve without entering it.  Only
+    ``--out-dir``, ``--workers`` and ``--max-dim`` stay outside: they cannot
+    change a printed digit, and are recorded with the configuration.
     """
-    digest = config_digest({"command": command, **options})
+    key = {"command": command, "model": model, **settings}
+    digest = config_digest(key)
     store = ResultStore(args.out_dir)
     entry = store.lookup(digest)
     if entry is not None:
         sys.stderr.write(f"cache hit: {digest} ({entry['timestamp']})\n")
-        sys.stdout.write(store.read_text(entry["files"][0]))
-        return 0
+        text = store.read_text(entry["files"][0])
+        sys.stdout.write(text)
+        return text
     t0 = time.monotonic()
-    files, notes = compute()
+    files, notes = compute(**settings)
     wall_s = time.monotonic() - t0
     stem = store.output_stem(command, digest)
     for suffix, text in files.items():
         store.write_text(stem + suffix, text)
-    config = {"command": command, "options": options,
-              "out_dir": args.out_dir, "workers": args.workers}
+    config = {**key, "out_dir": args.out_dir, "workers": args.workers,
+              "max_dim": args.max_dim}
     store.record(digest, command, [stem + suffix for suffix in files], wall_s, config)
-    sys.stdout.write(next(iter(files.values())))
+    text = next(iter(files.values()))
+    sys.stdout.write(text)
     for line in notes:
         sys.stderr.write(line + "\n")
-    return 0
+    return text
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> None:
     params = params_from_mapping(_model_mapping(args))
-    schedule = parse_schedule(args.ntr_schedule) if args.ntr_schedule else DEFAULT_SCHEDULE
-    track = tuple(t.strip() for t in args.track.split(",") if t.strip())
-    options = {
-        "n_atoms": params.n_atoms, "omega": params.omega,
-        "delta": params.delta, "lambda": params.lam,
-        "threshold": args.threshold, "schedule": list(schedule),
-        "track": list(track), "parity": args.parity, "seed": args.seed,
-        "solver_tol": args.solver_tol, "dense": bool(args.dense_oracle),
+    settings = {
+        "threshold": args.threshold,
+        "schedule": parse_schedule(args.ntr_schedule) if args.ntr_schedule else DEFAULT_SCHEDULE,
+        "track": tuple(t.strip() for t in args.track.split(",") if t.strip()),
+        "sector": args.parity, "seed": args.seed,
+        "solver_tol": args.solver_tol, "dense": args.dense_oracle,
     }
 
-    def compute():
-        res = converge(
-            params, threshold=args.threshold, schedule=schedule, track=track,
-            sector=args.parity, solver_tol=args.solver_tol, seed=args.seed,
-            dense=args.dense_oracle, max_dim=args.max_dim,
-        )
-        if args.dump_matrix:
-            h = assemble_dcs(params, res.n_tr_used, max_dim=args.max_dim)
-            with open(args.dump_matrix, "w") as fh:
-                dump_coo(h, fh)
+    def compute(**solver):
+        res = converge(params, max_dim=args.max_dim, **solver)
         return {".csv": csv_text(CSV_COLUMNS, [result_row(res)])}, []
 
-    return _run_cached(args, "solve", options, compute)
+    text = _run_cached(args, "solve", asdict(params), settings, compute)
+    if args.dump_matrix:
+        # the matrix needs only the model and Ntr_used, which a stored row holds too
+        n_tr = int(text.splitlines()[2].split(",")[CSV_COLUMNS.index("Ntr_used")])
+        with open(args.dump_matrix, "w") as fh:
+            dump_coo(assemble_dcs(params, n_tr, max_dim=args.max_dim), fh)
 
 
-def _compare_cell(cell: dict, *, params, parity: str, max_dim, solver_tol: float,
+def _couplings(text: str) -> list[float]:
+    """The ``--lambdas`` grid: one or more non-negative couplings."""
+    lambdas = parse_float_list(text)
+    if not lambdas or not all(lam >= 0.0 for lam in lambdas):
+        raise ConfigError(f"--lambdas must be one or more non-negative couplings, got {text!r}")
+    return lambdas
+
+
+def _compare_cell(cell: dict, *, params, sector: str, max_dim, solver_tol: float,
                   seed: int, dense: bool) -> dict:
     """One (lambda, basis, n_tr) cell of the compare table; a failed solve
     marks the cell instead of ending the run."""
@@ -323,7 +338,7 @@ def _compare_cell(cell: dict, *, params, parity: str, max_dim, solver_tol: float
     try:
         params = replace(params, lam=cell["lambda"])
         assemble = assemble_dcs if cell["basis"] == "dcs" else assemble_dfs
-        h = project_parity(assemble(params, cell["n_tr"], max_dim=max_dim), parity)
+        h = project_parity(assemble(params, cell["n_tr"], max_dim=max_dim), sector)
         gs = ground_state(h, tol=solver_tol, seed=seed, dense=dense)
         row["E0"] = gs.energy
         row["E0_scaled"] = gs.energy / (params.j * params.delta)
@@ -332,32 +347,27 @@ def _compare_cell(cell: dict, *, params, parity: str, max_dim, solver_tol: float
     return row
 
 
-def cmd_compare(args) -> int:
-    params = params_from_mapping(_model_mapping(args))
-    lambdas = parse_float_list(args.lambdas)
-    cases = parse_cases(args.cases)
-    options = {
-        "n_atoms": params.n_atoms, "omega": params.omega,
-        "delta": params.delta, "lambdas": lambdas,
-        "cases": [list(c) for c in cases], "parity": args.parity,
-        "seed": args.seed, "solver_tol": args.solver_tol,
-        "dense": bool(args.dense_oracle),
+def cmd_compare(args) -> None:
+    params = params_from_mapping(_model_mapping(
+        args, ("lambda", "alpha"), "with compare (the couplings come from --lambdas)"))
+    settings = {
+        "lambdas": _couplings(args.lambdas), "cases": parse_cases(args.cases),
+        "sector": args.parity, "seed": args.seed,
+        "solver_tol": args.solver_tol, "dense": args.dense_oracle,
     }
 
-    def compute():
+    def compute(lambdas, cases, **cell):
         cells = [{"lambda": lam, "basis": basis, "n_tr": n_tr}
                  for lam in lambdas for (basis, n_tr) in cases]
         rows = run_jobs(_compare_cell, cells, args.workers, params=params,
-                        parity=args.parity, max_dim=args.max_dim,
-                        solver_tol=args.solver_tol, seed=args.seed,
-                        dense=args.dense_oracle)
+                        max_dim=args.max_dim, **cell)
         columns = ("lambda", "basis", "n_tr", "E0", "E0_scaled", "status")
         return {".csv": csv_text(columns, rows)}, []
 
-    return _run_cached(args, "compare", options, compute)
+    _run_cached(args, "compare", asdict(params), settings, compute)
 
 
-def _converge_lambda_point(lam: float, *, params, ntr_list: list, threshold: float,
+def _converge_lambda_point(lam: float, *, params, ntr_list: tuple, threshold: float,
                            seed: int, solver_tol: float, max_dim) -> list:
     params = replace(params, lam=lam)
     ref = converge(
@@ -384,88 +394,66 @@ def _refuse_unused(args, why: str, *flags) -> None:
             raise ConfigError(f"{flag} has no meaning {why}")
 
 
-def cmd_converge(args) -> int:
+def cmd_converge(args) -> None:
+    settings = {"threshold": args.threshold, "seed": args.seed, "solver_tol": args.solver_tol}
     if args.at_critical:
         _refuse_unused(args, "with --at-critical",
                        ("--lambdas", "lambdas"), ("--ntr-list", "ntr_list"))
         if not args.n_range:
             raise ConfigError("--at-critical needs --N")
-        n_list = parse_n_list(args.n_range)
-        mapping = _model_mapping(args)
-        for key, dest in (("n_atoms", "n_atoms"), ("lambda", "lam"), ("alpha", "alpha")):
-            if key in mapping:
-                where = (f"--{key.replace('_', '-')}" if getattr(args, dest) is not None
-                         else f"{args.config}: key {key!r}")
-                raise ConfigError(f"{where} has no meaning with --at-critical")
+        settings["n_list"] = parse_n_list(args.n_range)
+        mapping = _model_mapping(args, ("n_atoms", "lambda", "alpha"), "with --at-critical")
         try:
             omega, delta = (float(mapping.get(key, 1.0)) for key in ("omega", "delta"))
         except ValueError as exc:
             raise ConfigError(f"{args.config}: omega and delta must be numbers") from exc
         if not (omega > 0.0 and delta > 0.0):
             raise ConfigError(f"--omega and --delta must be positive, got {omega}, {delta}")
-        options = {
-            "mode": "at_critical", "omega": omega,
-            "delta": delta, "n_list": n_list,
-            "threshold": args.threshold, "seed": args.seed,
-            "solver_tol": args.solver_tol,
-        }
 
-        def compute():
+        def compute(n_list, **sweep):
             lam_c = critical_coupling(omega, delta)
-            sweep = observable_sweep(
-                delta, n_list, lam=lam_c, omega=omega, threshold=args.threshold,
-                workers=args.workers, seed=args.seed, solver_tol=args.solver_tol,
-                max_dim=args.max_dim,
-            )
+            points = observable_sweep(delta, n_list, lam=lam_c, omega=omega,
+                                      workers=args.workers, max_dim=args.max_dim, **sweep)
             rows = [{"N": n, "lambda": lam_c, "ntr_used": row["n_tr_used"], "E0": row["e0"]}
-                    for n, row in zip(n_list, sweep)]
+                    for n, row in zip(n_list, points)]
             used = [r["ntr_used"] for r in rows]
             mono = all(b <= a for a, b in zip(used, used[1:]))
             return ({".csv": csv_text(("N", "lambda", "ntr_used", "E0"), rows)},
                     [f"required n_tr {used} non-increasing: {mono}"])
 
-        return _run_cached(args, "converge", options, compute)
+        _run_cached(args, "converge", {"omega": omega, "delta": delta}, settings, compute)
+        return
 
     _refuse_unused(args, "without --at-critical", ("--N", "n_range"))
     if not args.lambdas:
         raise ConfigError("converge needs --lambdas (or --at-critical with --N)")
-    params = params_from_mapping(_model_mapping(args))
-    lambdas = parse_float_list(args.lambdas)
-    ntr_list = list(parse_schedule("4,6,8" if args.ntr_list is None else args.ntr_list))
-    options = {
-        "mode": "lambda_map", "n_atoms": params.n_atoms,
-        "omega": params.omega, "delta": params.delta,
-        "lambdas": lambdas, "ntr_list": ntr_list,
-        "threshold": args.threshold, "seed": args.seed,
-        "solver_tol": args.solver_tol,
-    }
+    params = params_from_mapping(_model_mapping(
+        args, ("lambda", "alpha"), "without --at-critical (the couplings come from --lambdas)"))
+    settings["lambdas"] = _couplings(args.lambdas)
+    settings["ntr_list"] = parse_schedule("4,6,8" if args.ntr_list is None else args.ntr_list)
 
-    def compute():
+    def compute(lambdas, **point):
         nested = run_jobs(_converge_lambda_point, lambdas, args.workers, params=params,
-                          ntr_list=ntr_list, threshold=args.threshold, seed=args.seed,
-                          solver_tol=args.solver_tol, max_dim=args.max_dim)
+                          max_dim=args.max_dim, **point)
         rows = [row for group in nested for row in group]
         lam_c = critical_coupling(params.omega, params.delta)
         notes = []
-        for n_tr in ntr_list:
+        for n_tr in point["ntr_list"]:
             peak = max((r for r in rows if r["n_tr"] == n_tr), key=lambda r: r["rel_dev"])
             notes.append(f"deviation peak n_tr={n_tr}: lambda={peak['lambda']:.6g} "
                          f"(lambda/lambda_c={peak['lambda'] / lam_c:.4f})")
         return {".csv": csv_text(("lambda", "n_tr", "E0", "E0_ref", "rel_dev"), rows)}, notes
 
-    return _run_cached(args, "converge", options, compute)
+    _run_cached(args, "converge", asdict(params), settings, compute)
 
 
-def cmd_scaling(args) -> int:
+def cmd_scaling(args) -> None:
     d_list = parse_float_list(args.big_d)
     n_list = parse_n_list(args.n_range)
     if len(n_list) < MIN_SERIES_POINTS:
         raise ConfigError(f"scaling needs at least {MIN_SERIES_POINTS} sizes, got {n_list}")
     if not d_list or not all(d > 0.0 for d in d_list) or not args.omega > 0.0:
         raise ConfigError(f"--D values and --omega must be positive, got {d_list}, {args.omega}")
-    threshold = args.threshold
-    if threshold is None:
-        threshold = SERIES[args.observable][1]
     if args.observable != "concurrence":
         _refuse_unused(args, f"with --observable {args.observable}", ("--c-inf", "c_inf"))
     c_inf = "fit" if args.c_inf is None else args.c_inf
@@ -474,40 +462,38 @@ def cmd_scaling(args) -> int:
             c_inf = float(c_inf)
         except ValueError as exc:
             raise ConfigError(f"--c-inf must be 'fit' or a number, got {c_inf!r}") from exc
-    options = {
-        "observable": args.observable, "D": d_list, "N": n_list,
-        "omega": args.omega, "threshold": threshold, "c_inf": c_inf,
-        "seed": args.seed, "solver_tol": args.solver_tol,
+    settings = {
+        "observable": args.observable, "d_list": d_list, "n_list": tuple(n_list),
+        "threshold": SERIES[args.observable][1] if args.threshold is None else args.threshold,
+        "c_inf": c_inf, "seed": args.seed, "solver_tol": args.solver_tol,
     }
 
-    def compute():
+    def compute(observable, d_list, **series_settings):
         series_rows, slope_rows, notes = [], [], []
         for big_d in d_list:
-            series = deviation_series(
-                args.observable, big_d, tuple(n_list), omega=args.omega,
-                threshold=threshold, c_inf=c_inf, workers=args.workers,
-                seed=args.seed, solver_tol=args.solver_tol, max_dim=args.max_dim,
-            )
+            series = deviation_series(observable, big_d, omega=args.omega,
+                                      workers=args.workers, max_dim=args.max_dim,
+                                      **series_settings)
             fit = extrapolate_exponent(series)
             for n, v, ntr in zip(series.n_values, series.values, series.meta["n_tr_used"]):
                 series_rows.append({
-                    "observable": args.observable, "D": big_d,
+                    "observable": observable, "D": big_d,
                     "lambda": series.coupling, "N": n, "value": v, "ntr_used": ntr,
                 })
             for x, s in zip(fit.inv_n_mid, fit.slopes):
                 slope_rows.append({
-                    "observable": args.observable, "D": big_d,
+                    "observable": observable, "D": big_d,
                     "inv_n_mid": x, "slope": s,
                 })
             extra = ""
-            if args.observable == "energy":
+            if observable == "energy":
                 side = "below" if all(v < 0 for v in series.meta["signed"]) else "mixed"
                 extra = f" approach={side}"
-            if args.observable == "concurrence":
+            if observable == "concurrence":
                 extra = (f" c_inf={series.meta['c_inf']:.6g}"
                          f" fit_beta={series.meta.get('beta', float('nan')):.4f}")
             notes.append(
-                f"{args.observable} D={big_d:g}: exponent {fit.exponent:+.4f} "
+                f"{observable} D={big_d:g}: exponent {fit.exponent:+.4f} "
                 f"+- {fit.uncertainty:.4f} (correction_power={fit.correction_power:.2f},"
                 f" power_law={fit.power_law_ok}){extra}"
             )
@@ -519,7 +505,7 @@ def cmd_scaling(args) -> int:
         }
         return files, notes
 
-    return _run_cached(args, "scaling", options, compute)
+    _run_cached(args, "scaling", {"omega": args.omega}, settings, compute)
 
 
 # name -> (handler, help line)
@@ -532,14 +518,19 @@ _COMMANDS = {
 
 
 def _check_numbers(args) -> None:
-    """Refuse a non-positive tolerance or a negative seed before any solve
-    (compare would record either as a failed cell per point)."""
+    """Refuse a non-positive tolerance, a negative seed, or a worker count or
+    dimension cap below 1 before any solve (compare would record a bad
+    tolerance or seed as a failed cell per point)."""
     for name in ("threshold", "solver_tol"):
         value = getattr(args, name, None)
         if value is not None and not value > 0.0:
             raise ConfigError(f"--{name.replace('_', '-')} must be positive, got {value!r}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be non-negative, got {args.seed}")
+    for name in ("workers", "max_dim"):
+        value = getattr(args, name)
+        if value is not None and value < 1:
+            raise ConfigError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
 
 
 def main(argv=None) -> int:
@@ -549,7 +540,8 @@ def main(argv=None) -> int:
     args = build_parser(command).parse_args(argv)
     try:
         _check_numbers(args)
-        return _COMMANDS[args.command][0](args)
+        _COMMANDS[args.command][0](args)
+        return 0
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2

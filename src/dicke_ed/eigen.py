@@ -87,12 +87,12 @@ class GroundState:
     energy: float
     vector: np.ndarray = field(repr=False)
     basis: str
-    n_tr: int | None
+    n_tr: int
     sector: str
     residual: float
     iterations: int
     method: str
-    n_atoms: int | None = None
+    n_atoms: int
     factorizations: int = 0
     lower_bound: float | None = None
     bandwidth: int | None = None
@@ -100,8 +100,6 @@ class GroundState:
     @property
     def table(self) -> np.ndarray:
         """Coefficients as an (N+1, n_tr+1) sector-major table."""
-        if self.n_atoms is None or self.n_tr is None:
-            raise ValueError("no sector structure attached to this state")
         return self.vector.reshape(self.n_atoms + 1, self.n_tr + 1)
 
 

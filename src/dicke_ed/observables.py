@@ -34,7 +34,7 @@ import numpy as np
 from .dcs_basis import overlap_kernel
 from .eigen import GroundState, ground_state
 from .errors import ConfigError, ConvergenceError
-from .hamiltonian import assemble_dcs, assemble_dfs, project_parity
+from .hamiltonian import assemble_dcs, project_parity
 from .model import ModelParams
 
 __all__ = [
@@ -151,7 +151,6 @@ def converge(
     schedule: tuple = DEFAULT_SCHEDULE,
     track: tuple = ("e0",),
     sector: str = "even",
-    basis: str = "dcs",
     solver_tol: float = 1e-10,
     seed: int = 0,
     dense: bool = False,
@@ -164,7 +163,6 @@ def converge(
     ConvergenceError (history attached) if the schedule runs out.  ``sector``
     picks the parity block the solve happens in; "full" solves both and keeps
     the lower (``ground.sector`` names it, while ``sector`` stays "full").
-    ``basis`` selects the displaced ("dcs") or bare ("dfs") assembly.
 
     ``track`` defaults to the energy, the usual acceptance criterion for
     truncated diagonalization; pass the observable you are about to fit when
@@ -180,12 +178,11 @@ def converge(
         raise ConfigError(
             f"track must name one or more of {', '.join(OBSERVABLES)}; got {list(track)}")
     spin = set(track) != {"e0"}
-    assemble = assemble_dcs if basis == "dcs" else assemble_dfs
     history = []
     prev = None
     prev_gs = None
     for n_tr in schedule:
-        h = project_parity(assemble(params, n_tr, max_dim=max_dim), sector)
+        h = project_parity(assemble_dcs(params, n_tr, max_dim=max_dim), sector)
         v0 = None
         if prev_gs is not None:
             # warm start: previous solution zero-padded to the new truncation

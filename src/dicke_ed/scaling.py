@@ -22,7 +22,6 @@ from .observables import DEFAULT_SCHEDULE, converge
 __all__ = [
     "ScalingSeries",
     "ExponentFit",
-    "DEFAULT_N_GRID",
     "SERIES",
     "observable_sweep",
     "deviation_series",
@@ -30,7 +29,6 @@ __all__ = [
     "fit_concurrence_limit",
 ]
 
-DEFAULT_N_GRID = tuple(2**p for p in range(4, 11))
 MIN_SERIES_POINTS = 4  # sizes an exponent fit needs
 
 # observable -> (tracked key, default per-point convergence threshold)
@@ -168,21 +166,17 @@ def extrapolate_exponent(series: ScalingSeries) -> ExponentFit:
     )
 
 
-def _sweep_point(n: int, *, omega: float, delta: float, lam: float, track: tuple,
-                 **settings) -> dict:
+def _sweep_point(n: int, *, omega: float, delta: float, lam: float, **settings) -> dict:
     params = ModelParams(n, omega, delta, lam)
     try:
-        res = converge(params, track=track, **settings)
+        res = converge(params, **settings)
     except ConvergenceError as exc:
         raise ConvergenceError(
             f"sweep point N={n} failed: {exc}",
             residual=exc.residual,
             history=exc.history,
         ) from exc
-    # an energy sweep reads only E0: leave the accepted state's spin moments unbuilt
-    out = {"e0": res.energy} if set(track) == {"e0"} else dict(res.values)
-    out["n_tr_used"] = res.n_tr_used
-    return out
+    return {**res.step_values, "n_tr_used": res.n_tr_used}
 
 
 def observable_sweep(
@@ -299,7 +293,7 @@ def fit_concurrence_limit(n_values, c_values, corrections: bool | None = None) -
 def deviation_series(
     observable: str,
     big_d: float,
-    n_list=DEFAULT_N_GRID,
+    n_list,
     omega: float = 1.0,
     threshold: float | None = None,
     c_inf: float | str = "fit",

@@ -21,7 +21,11 @@ from dicke_ed.store import ResultStore
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """Exit code, stdout and stderr of one CLI run; argparse errors included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -212,6 +216,14 @@ class TestSolve:
         dim = max(int(r[0]) for r in rows) + 1
         assert dim > 0 and dim % 5 == 0  # (N+1) | dim
 
+    def test_dump_matrix_on_cache_hit(self, tmp_path, capsys):
+        """A cache hit writes the same matrix a cold run writes."""
+        dumps = [tmp_path / "cold.coo", tmp_path / "hit.coo"]
+        errs = [run(capsys, "solve", "--n-atoms", "4", "--lambda", "0.3", "--dump-matrix",
+                    str(dump), "--out-dir", str(tmp_path / "store"))[2] for dump in dumps]
+        assert "cache hit" not in errs[0] and "cache hit" in errs[1]
+        assert dumps[1].read_bytes() == dumps[0].read_bytes() != b""
+
     def test_dense_oracle_flag_matches(self, tmp_path, capsys):
         base = ("solve", "--n-atoms", "8", "--lambda", "0.6")
         _, out1, _ = run(capsys, *base, "--out-dir", str(tmp_path / "a"))
@@ -350,6 +362,36 @@ def test_workers_keep_bytes(tmp_path, capsys, argv):
     assert outs[0][0] == 0
 
 
+DIGEST_CASES = {
+    "solve": ("solve", "--n-atoms", "4", "--lambda", "0.3"),
+    "compare": ("compare", "--n-atoms", "4", "--lambdas", "0.3", "--cases", "dcs:4"),
+    "converge-lambda-map": ("converge", "--n-atoms", "4", "--lambdas", "0.3",
+                            "--ntr-list", "4"),
+    "converge-at-critical": ("converge", "--at-critical", "--N", "4,8"),
+    "scaling": ("scaling", "--observable", "energy", "--D", "1", "--N", "4..32"),
+}
+
+
+@pytest.mark.parametrize("argv", list(DIGEST_CASES.values()), ids=list(DIGEST_CASES))
+def test_digest_follows_the_settings(tmp_path, capsys, argv):
+    """--seed and --solver-tol reach the solve and change the digest;
+    --workers, --max-dim and --out-dir cannot change a digit and do not."""
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    runs = [run(capsys, *argv, *extra, "--out-dir", a) for extra in (
+        ("--workers", "1"),
+        ("--workers", "1", "--seed", "1"),
+        ("--workers", "1", "--solver-tol", "1e-9"),
+        ("--workers", "2", "--max-dim", "100000"),
+    )]
+    assert [code for code, _, _ in runs] == [0, 0, 0, 0]
+    assert ["cache hit" in err for _, _, err in runs] == [False, False, False, True]
+    assert runs[3][1] == runs[0][1]
+    assert run(capsys, *argv, "--workers", "1", "--out-dir", b)[0] == 0
+    digests = [e["digest"] for e in ResultStore(a).entries()]
+    assert len(digests) == len(set(digests)) == 3
+    assert [e["digest"] for e in ResultStore(b).entries()] == digests[:1]
+
+
 @pytest.mark.parametrize("argv,dim", [
     (("scaling", "--observable", "energy", "--D", "1", "--N", "16..128"), "85 = (16+1)*(4+1)"),
     (("converge", "--at-critical", "--N", "16,32"), "85 = (16+1)*(4+1)"),
@@ -403,6 +445,42 @@ class TestBadNumbersExit2:
         assert code == 2 and out == ""
         assert "config error: --seed must be non-negative, got -1" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("compare", "--n-atoms", "4", "--lambdas=-0.5"),
+        ("converge", "--n-atoms", "8", "--lambdas=-0.5,0.5"),
+        ("converge", "--n-atoms", "8", "--lambdas=,"),
+    ])
+    def test_negative_or_no_coupling(self, tmp_path, capsys, argv):
+        code, out, err = run(capsys, *argv, "--workers", "1", "--out-dir", str(tmp_path))
+        assert code == 2 and out == ""
+        assert f"config error: --lambdas must be one or more non-negative couplings, " \
+               f"got {argv[-1].split('=')[1]!r}" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--n-atoms", "4", "--lambda", "0.3"),
+        ("scaling", "--observable", "energy", "--D", "1", "--N", "16..128"),
+    ])
+    @pytest.mark.parametrize("flag", ["--workers", "--max-dim"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_count_below_one(self, tmp_path, capsys, argv, flag, value):
+        code, out, err = run(capsys, *argv, f"{flag}={value}", "--out-dir", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err == f"config error: {flag} must be at least 1, got {value}\n"
+
+    @pytest.mark.parametrize("argv,why", [
+        (("compare", "--lambdas", "0.3"), "with compare"),
+        (("converge", "--lambdas", "0.3"), "without --at-critical"),
+    ])
+    @pytest.mark.parametrize("key", ["lambda", "alpha"])
+    def test_config_coupling_outside_solve(self, tmp_path, capsys, argv, why, key):
+        """compare and the lambda map take every coupling from --lambdas."""
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text(f"n_atoms = 4\n{key} = 1\n")
+        code, out, err = run(capsys, *argv, "--config", str(cfg), "--workers", "1",
+                             "--out-dir", str(tmp_path / "store"))
+        assert code == 2 and out == ""
+        assert err.startswith(f"config error: {cfg}: key {key!r} has no meaning {why} ")
+
     @pytest.mark.parametrize("argv,flag,why", [
         (("converge", "--at-critical", "--N", "16,32", "--lambdas", "0.5"),
          "--lambdas", "with --at-critical"),
@@ -452,8 +530,12 @@ class TestBadNumbersExit2:
                              *extra, "--N", "16,32", "--workers", "1",
                              "--out-dir", str(tmp_path / "store"))
         assert code == 2 and out == ""
-        named = flag if source == "flag" else f"key {key!r}"
-        assert "config error: " in err and f"{named} has no meaning with --at-critical" in err
+        if source == "flag" and key != "n_atoms":
+            # only solve registers --lambda and --alpha
+            assert f"error: unrecognized arguments: {flag} {value}" in err
+        else:
+            named = flag if source == "flag" else f"key {key!r}"
+            assert "config error: " in err and f"{named} has no meaning with --at-critical" in err
 
     @pytest.mark.parametrize("flag,value", [("--omega", "0"), ("--delta", "-1")])
     def test_bad_at_critical_energies(self, tmp_path, capsys, flag, value):
@@ -512,6 +594,20 @@ class TestArgparseBehavior:
             main(argv + ["--dense-oracle"])
         assert info.value.code == 2
         assert "unrecognized arguments: --dense-oracle" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["compare", "--n-atoms", "8", "--lambdas", "0.5", "--lambda", "3"], "--lambda 3"),
+        (["compare", "--n-atoms", "8", "--lambdas", "0.5", "--alpha", "1"], "--alpha 1"),
+        (["converge", "--n-atoms", "8", "--lambdas", "0.5", "--lambda", "3"], "--lambda 3"),
+        (["converge", "--n-atoms", "8", "--lambdas", "0.5", "--alpha", "1"], "--alpha 1"),
+    ])
+    def test_coupling_flags_only_in_solve(self, capsys, argv, flag):
+        """--lambda is neither read nor taken for an abbreviation of --lambdas."""
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 FOOTPRINT = """
