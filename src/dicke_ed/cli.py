@@ -54,24 +54,26 @@ def csv_text(columns, rows) -> str:
 
 
 def parse_float_list(text: str) -> list[float]:
-    """Comma list '0.1,1,10' or inclusive range 'a:b:step'."""
+    """Comma list '0.1,1,10' or inclusive range 'a:b:step' of finite numbers."""
     text = text.strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"range must be start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
-            raise ConfigError(f"bad range {text!r}")
-        count = int(round((stop - start) / step))
-        grid = [start + i * step for i in range(count + 1)]
-        if grid[-1] > stop + 1e-12:
-            grid.pop()
-        return grid
     try:
-        return [float(p) for p in text.split(",") if p.strip()]
+        values = [float(p) for p in text.split(":" if ":" in text else ",") if p.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad float list {text!r}") from exc
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"bad float list {text!r}: every number must be finite")
+    if ":" not in text:
+        return values
+    if len(values) != 3:
+        raise ConfigError(f"range must be start:stop:step, got {text!r}")
+    start, stop, step = values
+    count = (stop - start) / step if step > 0 and stop >= start else math.inf
+    if not math.isfinite(count):
+        raise ConfigError(f"bad range {text!r}")
+    grid = [start + i * step for i in range(round(count) + 1)]
+    if grid[-1] > stop + 1e-12:
+        grid.pop()
+    return grid
 
 
 def parse_n_list(text: str) -> list[int]:
@@ -374,7 +376,7 @@ def _converge_lambda_point(lam: float, *, params, ntr_list: tuple, threshold: fl
         params, threshold=min(threshold, 1e-8), schedule=SCALING_SCHEDULE,
         track=("e0",), solver_tol=solver_tol, seed=seed, max_dim=max_dim,
     )
-    e_ref = ref.energy
+    e_ref = ref.ground.energy
     rows = []
     for n_tr in ntr_list:
         h = project_parity(assemble_dcs(params, n_tr, max_dim=max_dim), "even")
@@ -407,8 +409,7 @@ def cmd_converge(args) -> None:
             omega, delta = (float(mapping.get(key, 1.0)) for key in ("omega", "delta"))
         except ValueError as exc:
             raise ConfigError(f"{args.config}: omega and delta must be numbers") from exc
-        if not (omega > 0.0 and delta > 0.0):
-            raise ConfigError(f"--omega and --delta must be positive, got {omega}, {delta}")
+        _require_positive("--omega and --delta", omega, delta)
 
         def compute(n_list, **sweep):
             lam_c = critical_coupling(omega, delta)
@@ -452,16 +453,19 @@ def cmd_scaling(args) -> None:
     n_list = parse_n_list(args.n_range)
     if len(n_list) < MIN_SERIES_POINTS:
         raise ConfigError(f"scaling needs at least {MIN_SERIES_POINTS} sizes, got {n_list}")
-    if not d_list or not all(d > 0.0 for d in d_list) or not args.omega > 0.0:
-        raise ConfigError(f"--D values and --omega must be positive, got {d_list}, {args.omega}")
+    if not d_list:
+        raise ConfigError(f"--D must be one or more ratios, got {args.big_d!r}")
+    _require_positive("--D values and --omega", *d_list, args.omega)
     if args.observable != "concurrence":
         _refuse_unused(args, f"with --observable {args.observable}", ("--c-inf", "c_inf"))
     c_inf = "fit" if args.c_inf is None else args.c_inf
     if c_inf != "fit":
         try:
             c_inf = float(c_inf)
-        except ValueError as exc:
-            raise ConfigError(f"--c-inf must be 'fit' or a number, got {c_inf!r}") from exc
+        except ValueError:
+            c_inf = math.nan
+        if not math.isfinite(c_inf):
+            raise ConfigError(f"--c-inf must be 'fit' or a finite number, got {args.c_inf!r}")
     settings = {
         "observable": args.observable, "d_list": d_list, "n_list": tuple(n_list),
         "threshold": SERIES[args.observable][1] if args.threshold is None else args.threshold,
@@ -517,14 +521,20 @@ _COMMANDS = {
 }
 
 
+def _require_positive(what: str, *values) -> None:
+    if not all(0.0 < value < math.inf for value in values):
+        raise ConfigError(
+            f"{what} must be positive and finite, got {', '.join(map(repr, values))}")
+
+
 def _check_numbers(args) -> None:
-    """Refuse a non-positive tolerance, a negative seed, or a worker count or
-    dimension cap below 1 before any solve (compare would record a bad
-    tolerance or seed as a failed cell per point)."""
+    """Refuse a tolerance that is not positive and finite, a negative seed, or
+    a worker count or dimension cap below 1 before any solve (compare would
+    record a bad tolerance or seed as a failed cell per point)."""
     for name in ("threshold", "solver_tol"):
         value = getattr(args, name, None)
-        if value is not None and not value > 0.0:
-            raise ConfigError(f"--{name.replace('_', '-')} must be positive, got {value!r}")
+        if value is not None:
+            _require_positive(f"--{name.replace('_', '-')}", value)
     if args.seed < 0:
         raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     for name in ("workers", "max_dim"):

@@ -81,7 +81,8 @@ class GroundState:
     reuse a factor.  The lowest eigenvalue of the matrix that was passed in
     is proven to lie in [``lower_bound``, ``energy``]; ``bandwidth`` is the
     lower bandwidth of the widest band that was factored.  The dense oracle
-    has neither.  For an unprojected matrix the counts sum both sector solves.
+    has neither.  For an unprojected matrix the counts sum both sector solves,
+    and ``sectors`` holds the even and odd states the lower was taken from.
     """
 
     energy: float
@@ -96,6 +97,7 @@ class GroundState:
     factorizations: int = 0
     lower_bound: float | None = None
     bandwidth: int | None = None
+    sectors: tuple = field(default=(), repr=False)
 
     @property
     def table(self) -> np.ndarray:
@@ -214,11 +216,13 @@ def ground_state(h, tol: float = 1e-10, seed: int = 0, dense: bool = False,
     r + tol*max(1, |E|) (plus rounding slack) below it, is proven to lie
     below the spectrum.  Raises ConvergenceError (residual attached) rather
     than return an uncertified pair.  ``seed`` draws the start vector unless
-    ``v0``, in the full flat basis, gives one; a sector it does not reach
-    starts from the seed.  ``dense`` uses dense ``eigh`` instead (oracle path).
+    ``v0``, one or a list of full flat vectors, gives one: a sector starts
+    from the sum of their restrictions (so from its own state, given one state
+    per sector), or from the seed if none reaches it.  ``dense`` uses dense
+    ``eigh`` instead (oracle path).
     """
-    if not tol > 0.0:
-        raise ConfigError(f"tol must be positive, got {tol!r}")
+    if not 0.0 < tol < np.inf:
+        raise ConfigError(f"tol must be positive and finite, got {tol!r}")
     if not isinstance(h, BlockHamiltonian):
         return _sector_ground_state(h, tol, seed, dense, v0)
     even, odd = (_sector_ground_state(project_parity(h, sector), tol, seed, dense, v0)
@@ -229,6 +233,7 @@ def ground_state(h, tol: float = 1e-10, seed: int = 0, dense: bool = False,
         factorizations=even.factorizations + odd.factorizations,
         lower_bound=None if dense else min(even.lower_bound, odd.lower_bound),
         bandwidth=None if dense else max(even.bandwidth, odd.bandwidth),
+        sectors=(even, odd),
     )
 
 
@@ -240,7 +245,7 @@ def _sector_ground_state(h, tol, seed, dense, v0) -> GroundState:
         energy, vec, steps, count, bound, width = vals[0], vecs[:, 0], 0, 0, None, None
         resid = float(np.linalg.norm(h.matvec(vec) - energy * vec))
     else:
-        x0 = None if v0 is None else h.restrict(v0)
+        x0 = None if v0 is None else sum(h.restrict(v) for v in np.atleast_2d(v0))
         vec, energy, resid, bound, steps, test = _certified_lowest(h, tol, seed, x0)
         count, width = test.count, test.ab.shape[0] - 1
     return GroundState(

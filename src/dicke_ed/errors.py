@@ -16,8 +16,8 @@ class ConvergenceError(RuntimeError):
     """A solver or truncation schedule failed to converge.
 
     Carries diagnostic state so callers never get a silent partial answer:
-    ``residual`` for eigensolver failures, ``history`` for truncation-schedule
-    failures.
+    ``residual`` for eigensolver failures, ``history`` (each step's
+    GroundState) for truncation-schedule failures.
     """
 
     def __init__(self, message, residual=None, history=None):

@@ -30,8 +30,8 @@ __all__ = [
 
 def critical_coupling(omega: float, delta: float) -> float:
     """Coupling at which the superradiant instability sets in: sqrt(omega*delta)/2."""
-    if omega <= 0.0 or delta <= 0.0:
-        raise ValueError(f"omega and delta must be positive, got {omega}, {delta}")
+    if not (0.0 < omega < math.inf and 0.0 < delta < math.inf):
+        raise ValueError(f"omega and delta must be positive and finite, got {omega}, {delta}")
     return 0.5 * math.sqrt(omega * delta)
 
 
@@ -51,12 +51,12 @@ class ModelParams:
     def __post_init__(self):
         if int(self.n_atoms) != self.n_atoms or self.n_atoms < 1:
             raise ValueError(f"n_atoms must be a positive integer, got {self.n_atoms}")
-        if self.omega <= 0.0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
-        if self.delta <= 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
-        if self.lam < 0.0:
-            raise ValueError(f"lam must be non-negative, got {self.lam}")
+        if not 0.0 < self.omega < math.inf:
+            raise ValueError(f"omega must be positive and finite, got {self.omega}")
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be non-negative and finite, got {self.lam}")
 
     @property
     def j(self) -> float:
@@ -118,8 +118,8 @@ def params_from_mapping(mapping: dict) -> ModelParams:
         raise ConfigError("give either 'lambda' or 'alpha', not both")
     if "alpha" in mapping:
         alpha = _num("alpha")
-        if alpha < 0:
-            raise ConfigError(f"config key 'alpha': must be >= 0, got {alpha}")
+        if not 0.0 <= alpha < math.inf:
+            raise ConfigError(f"config key 'alpha': must be finite and >= 0, got {alpha}")
         lam = 0.5 * math.sqrt(alpha * delta * omega)
     else:
         lam = _num("lambda") if "lambda" in mapping else 0.0

@@ -23,11 +23,12 @@ table with the sign-dressed overlap kernels at displacement step G (2G); in
 the bare basis those kernels are the identity.
 
 The truncation driver computes at each step only the observables it tracks;
-the others are computed on the accepted state when they are first read.
+:func:`observable_set` computes any of them from one ground state.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +43,7 @@ __all__ = [
     "DEFAULT_SCHEDULE",
     "converge",
     "OBSERVABLES",
+    "observable_set",
     "spin_expectations",
     "result_row",
     "CSV_COLUMNS",
@@ -99,50 +101,52 @@ def spin_expectations(gs: GroundState, params: ModelParams) -> dict:
     }
 
 
+def observable_set(gs: GroundState, params: ModelParams, keys: tuple = OBSERVABLES) -> dict:
+    """The observables ``keys`` of a ground state, in that order; the spin
+    moments are computed only when a key other than "e0" is named."""
+    values = {"e0": gs.energy}
+    if set(keys) - {"e0"}:
+        ex = spin_expectations(gs, params)
+        values.update(
+            b_n=1.0 - ex["jx"] / params.j,
+            gamma=2.0 * math.pi * ex["jx"],
+            jy2=ex["jy2"],
+            c_n=1.0 - 4.0 * ex["jy2"] / params.n_atoms,
+        )
+    return {key: values[key] for key in keys}
+
+
 @dataclass
 class ConvergedResult:
-    """Observables accepted by the truncation driver, with the full history.
+    """The truncation loop's solves: ``history`` holds each step's
+    GroundState in schedule order, and the last one was accepted.
 
-    ``history`` holds one (n_tr, values) pair per step.  A step that tracks
-    only "e0" holds only "e0"; every other step holds all OBSERVABLES.  The
-    accepted step's dict is ``values``: the observables no step tracked are
-    computed into it from ``ground`` on its first read, so a caller that
-    needs only ``energy`` never pays for the spin moments.
+    ``values`` holds every observable of ``ground``, computed on first read,
+    so a caller that needs only the energy never pays for the spin moments.
     """
 
     params: ModelParams
-    step_values: dict
-    n_tr_used: int
-    history: list = field(repr=False)
-    rel_change: dict
     sector: str
-    ground: GroundState = field(repr=False)
+    history: list = field(repr=False)
 
     @property
+    def ground(self) -> GroundState:
+        return self.history[-1]
+
+    @property
+    def n_tr_used(self) -> int:
+        return self.ground.n_tr
+
+    @cached_property
     def values(self) -> dict:
-        if len(self.step_values) < len(OBSERVABLES):
-            self.step_values.update(_observable_set(self.ground, self.params))
-        return self.step_values
-
-    @property
-    def energy(self) -> float:
-        return self.step_values["e0"]
+        return observable_set(self.ground, self.params)
 
 
-def _observable_set(gs: GroundState, params: ModelParams) -> dict:
-    ex = spin_expectations(gs, params)
-    b_n = 1.0 - ex["jx"] / params.j
-    return {
-        "e0": gs.energy,
-        "b_n": b_n,
-        "gamma": 2.0 * math.pi * ex["jx"],
-        "jy2": ex["jy2"],
-        "c_n": 1.0 - 4.0 * ex["jy2"] / params.n_atoms,
-    }
-
-
-def _rel(new: float, old: float) -> float:
-    return abs(new - old) / max(abs(new), 1e-12)
+def _padded(gs: GroundState, n_tr: int) -> np.ndarray:
+    """``gs``'s vector zero-padded (or cut) to truncation ``n_tr``."""
+    padded = np.zeros((gs.n_atoms + 1, n_tr + 1))
+    padded[:, : gs.n_tr + 1] = gs.table[:, : n_tr + 1]
+    return padded.reshape(-1)
 
 
 def converge(
@@ -163,49 +167,30 @@ def converge(
     ConvergenceError (history attached) if the schedule runs out.  ``sector``
     picks the parity block the solve happens in; "full" solves both and keeps
     the lower (``ground.sector`` names it, while ``sector`` stays "full").
+    Each step starts each sector from its own state of the step before.
 
     ``track`` defaults to the energy, the usual acceptance criterion for
     truncated diagonalization; pass the observable you are about to fit when
     its own tail matters (relative changes of scaled concurrence are
     ill-conditioned wherever it crosses zero, so track "jy2" there instead).
-    A step computes only what ``track`` needs; when it tracks the energy
-    alone, the spin observables are computed on the accepted state when the
-    result's ``values`` are first read.
+    A step computes only what ``track`` needs.
     """
-    if not threshold > 0.0:
-        raise ConfigError(f"threshold must be positive, got {threshold!r}")
+    if not 0.0 < threshold < math.inf:
+        raise ConfigError(f"threshold must be positive and finite, got {threshold!r}")
     if not track or not set(track) <= set(OBSERVABLES):
         raise ConfigError(
             f"track must name one or more of {', '.join(OBSERVABLES)}; got {list(track)}")
-    spin = set(track) != {"e0"}
     history = []
     prev = None
-    prev_gs = None
     for n_tr in schedule:
         h = project_parity(assemble_dcs(params, n_tr, max_dim=max_dim), sector)
-        v0 = None
-        if prev_gs is not None:
-            # warm start: previous solution zero-padded to the new truncation
-            old = prev_gs.table
-            padded = np.zeros((params.n_atoms + 1, n_tr + 1))
-            padded[:, : old.shape[1]] = old[:, : n_tr + 1]
-            v0 = padded.reshape(-1)
-        gs = ground_state(h, tol=solver_tol, seed=seed, dense=dense, v0=v0)
-        vals = _observable_set(gs, params) if spin else {"e0": gs.energy}
-        prev_gs = gs
-        history.append((n_tr, vals))
-        if prev is not None:
-            rel = {key: _rel(vals[key], prev[key]) for key in track}
-            if all(r < threshold for r in rel.values()):
-                return ConvergedResult(
-                    params=params,
-                    step_values=vals,
-                    n_tr_used=n_tr,
-                    history=history,
-                    rel_change=rel,
-                    sector=sector,
-                    ground=gs,
-                )
+        # warm start: each sector's previous state, zero-padded to the new truncation
+        v0 = [_padded(s, n_tr) for s in history[-1].sectors or history[-1:]] if history else None
+        history.append(ground_state(h, tol=solver_tol, seed=seed, dense=dense, v0=v0))
+        vals = observable_set(history[-1], params, track)
+        if prev is not None and all(
+                abs(vals[k] - prev[k]) / max(abs(vals[k]), 1e-12) < threshold for k in track):
+            return ConvergedResult(params=params, sector=sector, history=history)
         prev = vals
     raise ConvergenceError(
         f"schedule exhausted at n_tr={schedule[-1]} without reaching {threshold:g} "

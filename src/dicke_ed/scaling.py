@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConvergenceError, FitError
 from .model import ModelParams, critical_coupling
-from .observables import DEFAULT_SCHEDULE, converge
+from .observables import DEFAULT_SCHEDULE, converge, observable_set
 
 __all__ = [
     "ScalingSeries",
@@ -58,10 +58,10 @@ class ScalingSeries:
             raise ValueError("n_values must be strictly increasing")
 
     def check_positive(self):
-        bad = [(n, v) for n, v in zip(self.n_values, self.values) if v <= 0.0]
+        bad = [(n, v) for n, v in zip(self.n_values, self.values) if not 0.0 < v < math.inf]
         if bad:
             raise FitError(
-                f"non-positive series values, log-log analysis invalid: {bad}",
+                f"non-positive or non-finite series values, log-log analysis invalid: {bad}",
                 diagnostics={"bad_points": bad},
             )
 
@@ -171,12 +171,9 @@ def _sweep_point(n: int, *, omega: float, delta: float, lam: float, **settings) 
     try:
         res = converge(params, **settings)
     except ConvergenceError as exc:
-        raise ConvergenceError(
-            f"sweep point N={n} failed: {exc}",
-            residual=exc.residual,
-            history=exc.history,
-        ) from exc
-    return {**res.step_values, "n_tr_used": res.n_tr_used}
+        raise ConvergenceError(f"sweep point N={n} failed: {exc}", residual=exc.residual,
+                               history=exc.history) from exc
+    return {**observable_set(res.ground, params, settings["track"]), "n_tr_used": res.n_tr_used}
 
 
 def observable_sweep(
@@ -192,8 +189,8 @@ def observable_sweep(
 ) -> list[dict]:
     """Converged observables for each N at fixed (delta, coupling).
 
-    Each row holds E0 alone when ``track`` is the energy alone, and every
-    observable otherwise, with the accepted truncation as ``n_tr_used``.
+    Each row holds the tracked observables, with the accepted truncation as
+    ``n_tr_used``.
 
     The coupling defaults to the critical one for (omega, delta); delta is
     passed to the solver as given.  The remaining keyword arguments (``seed``,

@@ -55,6 +55,8 @@ class TestParsers:
     @pytest.mark.parametrize("bad,parser", [
         ("1:0:0.1", parse_float_list),
         ("abc", parse_float_list),
+        ("a:b:c", parse_float_list),
+        ("0:1:", parse_float_list),
         ("32..16", parse_n_list),
         ("8,8", parse_n_list),
         ("dcs-6", parse_cases),
@@ -405,6 +407,31 @@ def test_max_dim_reaches_every_command(tmp_path, capsys, argv, dim, workers):
     assert err == f"resource cap: dimension {dim} exceeds cap 50\n"
 
 
+# argv -> the message of its exit 2
+NON_FINITE = {
+    "solve --n-atoms 4 --omega nan": "omega must be positive and finite, got nan",
+    "solve --n-atoms 4 --lambda nan": "lam must be non-negative and finite, got nan",
+    "solve --n-atoms 4 --lambda inf": "lam must be non-negative and finite, got inf",
+    "solve --n-atoms 4 --alpha inf": "config key 'alpha': must be finite and >= 0, got inf",
+    "solve --n-atoms 4 --delta inf": "delta must be positive and finite, got inf",
+    "solve --n-atoms 4 --solver-tol inf": "--solver-tol must be positive and finite, got inf",
+    "solve --n-atoms 4 --threshold inf": "--threshold must be positive and finite, got inf",
+    "scaling --observable energy --D inf": "bad float list 'inf': every number must be finite",
+    "scaling --observable energy --D 1 --omega inf":
+        "--D values and --omega must be positive and finite, got 1.0, inf",
+    "converge --at-critical --N 16,32 --omega inf":
+        "--omega and --delta must be positive and finite, got inf, 1.0",
+    "compare --n-atoms 4 --lambdas inf": "bad float list 'inf': every number must be finite",
+    "compare --n-atoms 4 --lambdas 0:inf:0.1":
+        "bad float list '0:inf:0.1': every number must be finite",
+    "compare --n-atoms 4 --lambdas 0:1e300:1e-300": "bad range '0:1e300:1e-300'",
+    "scaling --observable concurrence --D 1 --c-inf nan":
+        "--c-inf must be 'fit' or a finite number, got 'nan'",
+    "scaling --observable concurrence --D 1 --c-inf inf":
+        "--c-inf must be 'fit' or a finite number, got 'inf'",
+}
+
+
 class TestBadNumbersExit2:
     """Bad numbers end in exit 2 with context, before any solve."""
 
@@ -508,6 +535,7 @@ class TestBadNumbersExit2:
         (("--D", "1,0"), "must be positive"),
         (("--omega", "0"), "must be positive"),
         (("--threshold", "0"), "must be positive"),
+        (("--D", ","), "--D must be one or more ratios, got ','"),
     ])
     def test_bad_scaling_input(self, tmp_path, capsys, extra, message):
         argv = {"--observable": "energy", "--D": "1", "--N": "16..128"}
@@ -536,6 +564,12 @@ class TestBadNumbersExit2:
         else:
             named = flag if source == "flag" else f"key {key!r}"
             assert "config error: " in err and f"{named} has no meaning with --at-critical" in err
+
+    @pytest.mark.parametrize("argv", list(NON_FINITE))
+    def test_non_finite_number(self, tmp_path, capsys, argv):
+        """NaN and infinity exit 2 and name the value, before any solve."""
+        code, out, err = run(capsys, *argv.split(), "--workers", "1", "--out-dir", str(tmp_path))
+        assert (code, out, err) == (2, "", f"config error: {NON_FINITE[argv]}\n")
 
     @pytest.mark.parametrize("flag,value", [("--omega", "0"), ("--delta", "-1")])
     def test_bad_at_critical_energies(self, tmp_path, capsys, flag, value):

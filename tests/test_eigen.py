@@ -39,7 +39,7 @@ def sector_matrix(n_atoms, lam, basis, n_tr, sector, delta=1.0):
 
 
 class TestGroundState:
-    def test_decoupled_limit_lanczos(self):
+    def test_decoupled_limit_shift_invert(self):
         p = ModelParams(16, 1.0, 1.3, 0.0)
         gs = ground_state(assemble_dcs(p, 10))
         assert gs.energy == pytest.approx(-p.j * p.delta, abs=1e-10)
@@ -55,7 +55,7 @@ class TestGroundState:
         assert gs.basis == "dcs"
         assert gs.table.shape == (13, 13)
 
-    def test_dense_and_lanczos_agree(self):
+    def test_dense_and_shift_invert_agree(self):
         p = ModelParams(10, 1.0, 1.0, 0.7)
         h = assemble_dcs(p, 9)
         gd = ground_state(h, dense=True)
@@ -182,6 +182,8 @@ class TestGroundState:
         op = assemble_dcs(ModelParams(3, 1.0, 1.0, 0.5), 2)
         with pytest.raises(ValueError):
             ground_state(op, tol=0.0)
+        with pytest.raises(ValueError, match="finite"):
+            ground_state(op, tol=np.inf)
 
 
 class TestCertificate:

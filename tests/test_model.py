@@ -81,6 +81,11 @@ class TestCriticalCoupling:
         with pytest.raises(ValueError):
             critical_coupling(1.0, -2.0)
 
+    @pytest.mark.parametrize("omega,delta", [(math.nan, 1.0), (1.0, math.inf)])
+    def test_refuses_non_finite(self, omega, delta):
+        with pytest.raises(ValueError, match="finite"):
+            critical_coupling(omega, delta)
+
 
 class TestModelParams:
     def test_derived_quantities(self):
@@ -113,6 +118,14 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(4, 1.0, 1.0, -0.1)
 
+    @pytest.mark.parametrize("energies", [
+        (math.nan, 1.0, 0.1), (math.inf, 1.0, 0.1), (1.0, math.nan, 0.1),
+        (1.0, math.inf, 0.1), (1.0, 1.0, math.nan), (1.0, 1.0, math.inf),
+    ])
+    def test_refuses_non_finite(self, energies):
+        with pytest.raises(ValueError, match="finite, got (nan|inf)"):
+            ModelParams(4, *energies)
+
     def test_at_critical(self):
         p = ModelParams(16, 1.0, 4.0, critical_coupling(1.0, 4.0))
         assert p.lam == pytest.approx(1.0)
@@ -143,6 +156,12 @@ class TestConfigParsing:
     def test_bad_number(self):
         with pytest.raises(ConfigError, match="omega"):
             params_from_mapping({"n_atoms": 4, "omega": "abc"})
+
+    @pytest.mark.parametrize("key", ["omega", "lambda", "alpha"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_value(self, key, value):
+        with pytest.raises(ConfigError, match=f"finite.*got {value}"):
+            params_from_mapping({"n_atoms": 4, key: value})
 
     def test_missing_n_atoms(self):
         with pytest.raises(ConfigError, match="n_atoms"):

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from dicke_ed.errors import ConvergenceError
-from dicke_ed.eigen import ground_state
+from dicke_ed.eigen import GroundState, ground_state
 from dicke_ed.hamiltonian import assemble_dcs, assemble_dfs, project_parity
 from dicke_ed import observables
 from dicke_ed.model import ModelParams, critical_coupling
 from dicke_ed.observables import (
+    DEFAULT_SCHEDULE,
+    OBSERVABLES,
     converge,
+    observable_set,
     result_row,
     spin_expectations,
     CSV_COLUMNS,
@@ -180,14 +183,30 @@ class TestConvergeDriver:
         ]
         assert used[1] <= used[0]
 
-    def test_history_and_rel_change_recorded(self):
+    def test_accepted_step_settles_the_tracked_values(self):
         p = ModelParams(8, 1.0, 1.0, 0.6)
         res = converge(p, threshold=1e-6, track=("e0", "jy2"))
-        assert res.n_tr_used == res.history[-1][0]
-        assert set(res.rel_change) == {"e0", "jy2"}
-        assert all(v < 1e-6 for v in res.rel_change.values())
-        energies = [vals["e0"] for _, vals in res.history]
+        assert res.ground is res.history[-1]
+        assert res.n_tr_used == res.ground.n_tr
+        before, last = (observable_set(gs, p, ("e0", "jy2")) for gs in res.history[-2:])
+        assert all(abs(last[k] - before[k]) < 1e-6 * abs(last[k]) for k in last)
+        energies = [gs.energy for gs in res.history]
         assert all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
+
+    def test_history_is_one_ground_state_per_step(self):
+        p = ModelParams(8, 1.0, 1.0, 0.9)
+        res = converge(p, threshold=1e-6)
+        with pytest.raises(ConvergenceError) as info:
+            converge(p, threshold=1e-30, schedule=DEFAULT_SCHEDULE[:3])
+        assert len(res.history) > 3 and len(info.value.history) == 3
+        for history in (res.history, info.value.history):
+            assert all(isinstance(gs, GroundState) for gs in history)
+            assert [gs.n_tr for gs in history] == list(DEFAULT_SCHEDULE[: len(history)])
+            assert all(gs.lower_bound <= gs.energy for gs in history)
+            assert all(gs.factorizations >= 1 for gs in history)
+        # the failed run's records are the same solves
+        assert [gs.energy for gs in info.value.history] == [
+            gs.energy for gs in res.history[:3]]
 
     def test_energy_only_steps_skip_spin_moments(self, monkeypatch):
         p = ModelParams(16, 1.0, 1.0, 0.5)
@@ -202,17 +221,47 @@ class TestConvergeDriver:
         monkeypatch.setattr(observables, "spin_expectations", counting)
         res = converge(p, threshold=1e-8)
         assert calls == []
-        assert all(set(vals) == {"e0"} for _, vals in res.history)
-        assert res.energy == full.energy
-        assert res.history[-1][1] is res.values
+        assert res.ground.energy == full.ground.energy
+        assert res.values is res.values
         assert calls == [res.n_tr_used]
         assert res.n_tr_used == full.n_tr_used
         assert res.values == full.values
+        assert tuple(res.values) == OBSERVABLES
+
+    def test_observable_set_returns_exactly_its_keys(self, monkeypatch):
+        p = ModelParams(8, 1.0, 1.0, 0.6)
+        gs = solve_even(p, 8)
+        calls = []
+        real = observables.spin_expectations
+        monkeypatch.setattr(observables, "spin_expectations",
+                            lambda g, q: calls.append(1) or real(g, q))
+        assert observable_set(gs, p, ("e0",)) == {"e0": gs.energy}
+        assert calls == []
+        both = observable_set(gs, p, ("c_n", "e0"))
+        assert tuple(both) == ("c_n", "e0") and calls == [1]
+        assert both["c_n"] == observable_set(gs, p)["c_n"]
+
+    def test_parity_full_warm_starts_each_sector(self):
+        """Each sector restarts from its own state of the step before, so the
+        full solve makes no more factorizations than the two sector runs."""
+        p = ModelParams(32, 1.0, 1.0, 1.0)
+        runs = {s: converge(p, sector=s) for s in ("full", "even", "odd")}
+        count = {s: sum(gs.factorizations for gs in r.history) for s, r in runs.items()}
+        assert count["full"] <= count["even"] + count["odd"]
+        full = runs["full"]
+        for gs in full.history:
+            assert [s.sector for s in gs.sectors] == ["even", "odd"]
+        assert full.ground.energy == runs[full.ground.sector].ground.energy
 
     @pytest.mark.parametrize("track", [("foo",), (), ("e0", "E0")])
     def test_rejects_unknown_or_empty_track(self, track):
         with pytest.raises(ValueError, match="e0, b_n, gamma, jy2, c_n"):
             converge(ModelParams(4, 1.0, 1.0, 0.3), track=track)
+
+    @pytest.mark.parametrize("threshold", [0.0, math.nan, math.inf])
+    def test_rejects_bad_threshold(self, threshold):
+        with pytest.raises(ValueError, match="threshold must be positive and finite"):
+            converge(ModelParams(4, 1.0, 1.0, 0.3), threshold=threshold)
 
     def test_schedule_exhaustion_carries_history(self):
         p = ModelParams(8, 1.0, 1.0, 0.9)

@@ -61,6 +61,12 @@ class TestExtrapolation:
             series.local_slopes()
         assert (64, -0.25) in info.value.diagnostics["bad_points"]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_values(self, bad):
+        series = synthetic([1.0, 0.5, bad, 0.1, 0.1, 0.1, 0.1])
+        with pytest.raises(FitError, match="non-finite"):
+            series.local_slopes()
+
     def test_slope_count_and_abscissas(self):
         s = synthetic([1.0 / n for n in GRID])
         assert len(s.local_slopes()) == len(GRID) - 1
@@ -167,7 +173,7 @@ class TestPhysicalSeries:
         for n, row in zip(n_list, rows):
             ref = converge(ModelParams(n, omega, delta, lam), threshold=1e-6,
                            schedule=SCALING_SCHEDULE, track=("e0",))
-            assert row["e0"] == ref.energy
+            assert row == {"e0": ref.ground.energy, "n_tr_used": ref.n_tr_used}
 
     def test_sweep_reproducible(self):
         a = observable_sweep(1.0, (16, 32), threshold=1e-8, seed=1)
