@@ -38,6 +38,8 @@ from .store import CSV_SCHEMA_VERSION, ResultStore, config_digest
 __all__ = ["main", "build_parser"]
 
 CSV_BANNER = f"# dicke-ed csv v{CSV_SCHEMA_VERSION}"
+# the longest start:stop:step grid; each point costs at least one certified solve
+MAX_GRID_POINTS = 100_000
 
 
 def _fmt(value) -> str:
@@ -70,7 +72,10 @@ def parse_float_list(text: str) -> list[float]:
     count = (stop - start) / step if step > 0 and stop >= start else math.inf
     if not math.isfinite(count):
         raise ConfigError(f"bad range {text!r}")
-    grid = [start + i * step for i in range(round(count) + 1)]
+    points = round(count) + 1  # refused before the list is built
+    if points > MAX_GRID_POINTS:
+        raise ConfigError(f"range {text!r} has {points:,} points; at most {MAX_GRID_POINTS:,}")
+    grid = [start + i * step for i in range(points)]
     if grid[-1] > stop + 1e-12:
         grid.pop()
     return grid
@@ -222,9 +227,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         _add_model(sub, coupling=command == "solve")
     if sub is not None:
         _add_common(sub)
-    if command in ("solve", "compare"):
-        sub.add_argument("--dense-oracle", action="store_true",
-                         help="force dense diagonalization (small systems only)")
     if command == "solve":
         sub.add_argument("--threshold", type=float, default=1e-6)
         sub.add_argument("--ntr-schedule", default=None,
@@ -308,8 +310,7 @@ def cmd_solve(args) -> None:
         "threshold": args.threshold,
         "schedule": parse_schedule(args.ntr_schedule) if args.ntr_schedule else DEFAULT_SCHEDULE,
         "track": tuple(t.strip() for t in args.track.split(",") if t.strip()),
-        "sector": args.parity, "seed": args.seed,
-        "solver_tol": args.solver_tol, "dense": args.dense_oracle,
+        "sector": args.parity, "seed": args.seed, "solver_tol": args.solver_tol,
     }
 
     def compute(**solver):
@@ -333,7 +334,7 @@ def _couplings(text: str) -> list[float]:
 
 
 def _compare_cell(cell: dict, *, params, sector: str, max_dim, solver_tol: float,
-                  seed: int, dense: bool) -> dict:
+                  seed: int) -> dict:
     """One (lambda, basis, n_tr) cell of the compare table; a failed solve
     marks the cell instead of ending the run."""
     row = {**cell, "E0": math.nan, "E0_scaled": math.nan, "status": "ok"}
@@ -341,7 +342,7 @@ def _compare_cell(cell: dict, *, params, sector: str, max_dim, solver_tol: float
         params = replace(params, lam=cell["lambda"])
         assemble = assemble_dcs if cell["basis"] == "dcs" else assemble_dfs
         h = project_parity(assemble(params, cell["n_tr"], max_dim=max_dim), sector)
-        gs = ground_state(h, tol=solver_tol, seed=seed, dense=dense)
+        gs = ground_state(h, tol=solver_tol, seed=seed)
         row["E0"] = gs.energy
         row["E0_scaled"] = gs.energy / (params.j * params.delta)
     except (ConvergenceError, DimensionCapError, ValueError) as exc:
@@ -354,8 +355,7 @@ def cmd_compare(args) -> None:
         args, ("lambda", "alpha"), "with compare (the couplings come from --lambdas)"))
     settings = {
         "lambdas": _couplings(args.lambdas), "cases": parse_cases(args.cases),
-        "sector": args.parity, "seed": args.seed,
-        "solver_tol": args.solver_tol, "dense": args.dense_oracle,
+        "sector": args.parity, "seed": args.seed, "solver_tol": args.solver_tol,
     }
 
     def compute(lambdas, cases, **cell):

@@ -25,8 +25,8 @@ The factorization and the solves are LAPACK ``dpbtrf``/``dpbtrs`` through
 scipy's own f2py extension, the one ``scipy.linalg.cholesky_banded`` and
 ``cho_solve_banded`` call, loaded by file so that a solve never imports the
 ``scipy.linalg`` package: its import chain (numpy.f2py, numpy.testing, ...)
-costs several times the whole solve of a cold N = 1024 run.  Only the dense
-oracle path imports ``scipy.linalg``, on demand.
+costs several times the whole solve of a cold N = 1024 run.  This is the one
+solver path; dense diagonalization lives only in the test oracles.
 """
 
 import sys
@@ -80,9 +80,9 @@ class GroundState:
     and ``factorizations`` the Cholesky factorizations, fewer when steps
     reuse a factor.  The lowest eigenvalue of the matrix that was passed in
     is proven to lie in [``lower_bound``, ``energy``]; ``bandwidth`` is the
-    lower bandwidth of the widest band that was factored.  The dense oracle
-    has neither.  For an unprojected matrix the counts sum both sector solves,
-    and ``sectors`` holds the even and odd states the lower was taken from.
+    lower bandwidth of the widest band that was factored.  For an unprojected
+    matrix the counts sum both sector solves, and ``sectors`` holds the even
+    and odd states the lower was taken from.
     """
 
     energy: float
@@ -94,9 +94,9 @@ class GroundState:
     iterations: int
     method: str
     n_atoms: int
-    factorizations: int = 0
-    lower_bound: float | None = None
-    bandwidth: int | None = None
+    factorizations: int
+    lower_bound: float
+    bandwidth: int
     sectors: tuple = field(default=(), repr=False)
 
     @property
@@ -206,7 +206,7 @@ def _certified_lowest(h, tol: float, seed: int, v0: np.ndarray | None):
         residual=r)
 
 
-def ground_state(h, tol: float = 1e-10, seed: int = 0, dense: bool = False,
+def ground_state(h, tol: float = 1e-10, seed: int = 0,
                  v0: np.ndarray | None = None) -> GroundState:
     """Lowest eigenpair of a parity sector, or of an unprojected matrix: the
     lower of its two sectors' states, with the lower of their bounds (so it
@@ -218,36 +218,27 @@ def ground_state(h, tol: float = 1e-10, seed: int = 0, dense: bool = False,
     than return an uncertified pair.  ``seed`` draws the start vector unless
     ``v0``, one or a list of full flat vectors, gives one: a sector starts
     from the sum of their restrictions (so from its own state, given one state
-    per sector), or from the seed if none reaches it.  ``dense`` uses dense
-    ``eigh`` instead (oracle path).
+    per sector), or from the seed if none reaches it.
     """
     if not 0.0 < tol < np.inf:
         raise ConfigError(f"tol must be positive and finite, got {tol!r}")
     if not isinstance(h, BlockHamiltonian):
-        return _sector_ground_state(h, tol, seed, dense, v0)
-    even, odd = (_sector_ground_state(project_parity(h, sector), tol, seed, dense, v0)
+        return _sector_ground_state(h, tol, seed, v0)
+    even, odd = (_sector_ground_state(project_parity(h, sector), tol, seed, v0)
                  for sector in ("even", "odd"))
     return replace(
         min(even, odd, key=lambda gs: gs.energy),
         iterations=even.iterations + odd.iterations,
         factorizations=even.factorizations + odd.factorizations,
-        lower_bound=None if dense else min(even.lower_bound, odd.lower_bound),
-        bandwidth=None if dense else max(even.bandwidth, odd.bandwidth),
+        lower_bound=min(even.lower_bound, odd.lower_bound),
+        bandwidth=max(even.bandwidth, odd.bandwidth),
         sectors=(even, odd),
     )
 
 
-def _sector_ground_state(h, tol, seed, dense, v0) -> GroundState:
-    if dense:
-        from scipy.linalg import eigh
-
-        vals, vecs = eigh(h.to_dense(), subset_by_index=(0, 0))
-        energy, vec, steps, count, bound, width = vals[0], vecs[:, 0], 0, 0, None, None
-        resid = float(np.linalg.norm(h.matvec(vec) - energy * vec))
-    else:
-        x0 = None if v0 is None else sum(h.restrict(v) for v in np.atleast_2d(v0))
-        vec, energy, resid, bound, steps, test = _certified_lowest(h, tol, seed, x0)
-        count, width = test.count, test.ab.shape[0] - 1
+def _sector_ground_state(h, tol, seed, v0) -> GroundState:
+    x0 = None if v0 is None else sum(h.restrict(v) for v in np.atleast_2d(v0))
+    vec, energy, resid, bound, steps, test = _certified_lowest(h, tol, seed, x0)
     return GroundState(
         energy=float(energy),
         vector=_canonical_sign(h.expand(vec)),
@@ -256,9 +247,9 @@ def _sector_ground_state(h, tol, seed, dense, v0) -> GroundState:
         sector=h.sector,
         residual=resid,
         iterations=steps,
-        method="dense" if dense else "shift-invert",
+        method="shift-invert",
         n_atoms=h.params.n_atoms,
-        factorizations=count,
+        factorizations=test.count,
         lower_bound=bound,
-        bandwidth=width,
+        bandwidth=test.ab.shape[0] - 1,
     )

@@ -12,11 +12,11 @@ sector index:
   times the identity, plus a boson hopping term omega*g_n*sqrt(l+1) inside
   each sector (tridiagonal in l).
 
-The dense views read both matrices in LAPACK lower band storage
-(``band()``), and the solver reads their parity projections the same way;
-matvec serves the residuals.  A displaced-basis sector's band keeps only the
-kernel off-diagonals above a drop level (``assemble_dcs``); matvec,
-``to_dense`` and ``dump_coo`` keep every entry.
+Both matrices hand over LAPACK lower band storage (``band()``), and the
+solver reads their parity projections the same way; matvec serves the
+residuals.  A displaced-basis sector's band keeps only the kernel
+off-diagonals above a drop level (``assemble_dcs``); matvec, the unprojected
+band and ``dump_coo`` keep every entry.
 
 A parity sector has two coordinate orders.  Sector-major (the centre states,
 then each kept sector's K = n_tr + 1 boson states) suits the displaced basis,
@@ -130,9 +130,6 @@ class BlockHamiltonian:
         _fill_sectors(self, ab, first=0, offset=0)
         return ab
 
-    def to_dense(self) -> np.ndarray:
-        return _band_to_dense(self.band())
-
 
 def _check_dim(params: ModelParams, n_tr: int, max_dim: int | None):
     if n_tr < 0:
@@ -175,17 +172,6 @@ def gershgorin(ab: np.ndarray) -> tuple[float, float]:
         radius[: n - d] += a
         radius[d:] += a
     return float(np.min(ab[0] - radius)), float(np.max(ab[0] + radius))
-
-
-def _band_to_dense(ab: np.ndarray) -> np.ndarray:
-    """Dense symmetric matrix from its lower band storage."""
-    n = ab.shape[1]
-    H = np.zeros((n, n))
-    for d in range(min(ab.shape[0], n)):
-        idx = np.arange(n - d)
-        H[idx + d, idx] = ab[d, : n - d]
-        H[idx, idx + d] = ab[d, : n - d]
-    return H
 
 
 def assemble_dcs(params: ModelParams, n_tr: int, max_dim: int | None = None) -> BlockHamiltonian:
@@ -341,9 +327,9 @@ class ProjectedHamiltonian:
     def matvec(self, u: np.ndarray) -> np.ndarray:
         return self.restrict(self.full.matvec(self.expand(u)))
 
-    def band(self, trim: bool = True) -> np.ndarray:
+    def band(self) -> np.ndarray:
         """The projected matrix in LAPACK lower band storage (Fortran order),
-        ``full.bandwidth`` deep; with ``trim`` false, all 2K rows.
+        ``full.bandwidth`` deep.
 
         Sectors above the centre keep their blocks.  With a centre sector
         (even N) its retained states couple to the first kept sector with
@@ -354,7 +340,7 @@ class ProjectedHamiltonian:
             return self._boson_major_band()
         full = self.full
         K, nc, i0 = full.k_dim, len(self._center_keep), self._upper[0]
-        ab = np.zeros((full.bandwidth + 1 if trim else 2 * K, self.dim), order="F")
+        ab = np.zeros((full.bandwidth + 1, self.dim), order="F")
         _fill_sectors(full, ab, first=i0, offset=nc)
         B = full.offdiag_block(i0 - 1)
         if self._has_center:
@@ -392,9 +378,6 @@ class ProjectedHamiltonian:
         else:
             ab[0, P[:, 0]] += self.sign * full.spin_coup[i0 - 1] * self._ksigns
         return ab
-
-    def to_dense(self) -> np.ndarray:
-        return _band_to_dense(self.band(trim=False))
 
 
 def project_parity(h: BlockHamiltonian, sector: str) -> "BlockHamiltonian | ProjectedHamiltonian":

@@ -119,7 +119,7 @@ def params_from_mapping(mapping: dict) -> ModelParams:
     if "alpha" in mapping:
         alpha = _num("alpha")
         if not 0.0 <= alpha < math.inf:
-            raise ConfigError(f"config key 'alpha': must be finite and >= 0, got {alpha}")
+            raise ConfigError(f"alpha must be non-negative and finite, got {alpha}")
         lam = 0.5 * math.sqrt(alpha * delta * omega)
     else:
         lam = _num("lambda") if "lambda" in mapping else 0.0

@@ -157,17 +157,17 @@ def converge(
     sector: str = "even",
     solver_tol: float = 1e-10,
     seed: int = 0,
-    dense: bool = False,
     max_dim: int | None = None,
 ) -> ConvergedResult:
     """Solve at successive truncations until the tracked observables settle.
 
     Accepts once every tracked observable changes relatively by less than
-    ``threshold`` between consecutive schedule entries; raises
-    ConvergenceError (history attached) if the schedule runs out.  ``sector``
-    picks the parity block the solve happens in; "full" solves both and keeps
-    the lower (``ground.sector`` names it, while ``sector`` stays "full").
-    Each step starts each sector from its own state of the step before.
+    ``threshold`` between consecutive schedule entries, so the schedule needs
+    two or more; raises ConvergenceError (history attached) if it runs out.
+    ``sector`` picks the parity block the solve happens in; "full" solves both
+    and keeps the lower (``ground.sector`` names it, while ``sector`` stays
+    "full").  Each step starts each sector from its own state of the step
+    before.
 
     ``track`` defaults to the energy, the usual acceptance criterion for
     truncated diagonalization; pass the observable you are about to fit when
@@ -180,13 +180,16 @@ def converge(
     if not track or not set(track) <= set(OBSERVABLES):
         raise ConfigError(
             f"track must name one or more of {', '.join(OBSERVABLES)}; got {list(track)}")
+    if len(schedule) < 2:
+        raise ConfigError(f"the truncation schedule needs two or more entries to compare, "
+                          f"got {list(schedule)}")
     history = []
     prev = None
     for n_tr in schedule:
         h = project_parity(assemble_dcs(params, n_tr, max_dim=max_dim), sector)
         # warm start: each sector's previous state, zero-padded to the new truncation
         v0 = [_padded(s, n_tr) for s in history[-1].sectors or history[-1:]] if history else None
-        history.append(ground_state(h, tol=solver_tol, seed=seed, dense=dense, v0=v0))
+        history.append(ground_state(h, tol=solver_tol, seed=seed, v0=v0))
         vals = observable_set(history[-1], params, track)
         if prev is not None and all(
                 abs(vals[k] - prev[k]) / max(abs(vals[k]), 1e-12) < threshold for k in track):

@@ -118,10 +118,30 @@ def oracle_ground(n_atoms, omega, delta, lam, cutoff, n_pairs=1):
     return vals, vecs
 
 
+def dense(h) -> np.ndarray:
+    """Dense symmetric matrix of an assembled matrix, a parity sector, or a
+    lower band array.
+
+    An assembled matrix unpacks its band, which holds all 2K rows the kernel
+    blocks reach.  A sector is E^T H E, with E stacking ``h.expand`` over the
+    identity, so it does not go through the projected band builder.
+    """
+    if hasattr(h, "expand"):
+        E = np.column_stack([h.expand(e) for e in np.eye(h.dim)])
+        return E.T @ dense(h.full) @ E
+    ab = h if isinstance(h, np.ndarray) else h.band()
+    n = ab.shape[1]
+    H = np.zeros((n, n))
+    for d in range(min(ab.shape[0], n)):
+        idx = np.arange(n - d)
+        H[idx + d, idx] = H[idx, idx + d] = ab[d, : n - d]
+    return H
+
+
 def lowest_pair(h):
     """Two lowest eigenpairs of an assembled (or projected) matrix, by dense
     diagonalization; vectors are expanded to the full flat basis."""
-    vals, vecs = eigh(h.to_dense(), subset_by_index=(0, 1))
+    vals, vecs = eigh(dense(h), subset_by_index=(0, 1))
     expand = getattr(h, "expand", lambda v: v)
     return tuple(
         SimpleNamespace(energy=float(vals[i]), vector=expand(vecs[:, i]))

@@ -36,6 +36,7 @@ from dicke_ed.scaling import (
 from dicke_ed.dcs_basis import overlap_kernel
 
 from oracles import (
+    dense,
     displaced_overlap,
     kron_rotated,
     magnetization_x,
@@ -208,7 +209,7 @@ def test_criterion_8_property_suites():
     for params in (ModelParams(4, 1.0, 1.0, 0.8), ModelParams(5, 1.0, 0.7, 1.1)):
         P = parity_operator(params.n_atoms, 7).to_dense()
         for assemble in (assemble_dcs, assemble_dfs):
-            H = assemble(params, 7).to_dense()
+            H = dense(assemble(params, 7))
             checks.append(np.max(np.abs(H - H.T)) < 1e-12)
             checks.append(np.max(np.abs(H @ P - P @ H)) < 1e-10)
 

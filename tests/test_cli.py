@@ -3,12 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dicke_ed import cli
+from dicke_ed import cli, observables
 from dicke_ed.cli import (
     main,
     parse_cases,
@@ -66,6 +67,21 @@ class TestParsers:
     def test_rejects_malformed(self, bad, parser):
         with pytest.raises(ConfigError):
             parser(bad)
+
+    def test_grid_size_cap(self):
+        """A grid of MAX_GRID_POINTS points is built; one point more is
+        refused, and a billion points are refused without being allocated."""
+        assert len(parse_float_list(f"0:{cli.MAX_GRID_POINTS - 1}:1")) == cli.MAX_GRID_POINTS
+        with pytest.raises(ConfigError, match="has 100,001 points"):
+            parse_float_list(f"0:{cli.MAX_GRID_POINTS}:1")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="has 1,000,000,001 points"):
+                parse_float_list("0:1e9:1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 class TestSolve:
@@ -225,15 +241,6 @@ class TestSolve:
                     str(dump), "--out-dir", str(tmp_path / "store"))[2] for dump in dumps]
         assert "cache hit" not in errs[0] and "cache hit" in errs[1]
         assert dumps[1].read_bytes() == dumps[0].read_bytes() != b""
-
-    def test_dense_oracle_flag_matches(self, tmp_path, capsys):
-        base = ("solve", "--n-atoms", "8", "--lambda", "0.6")
-        _, out1, _ = run(capsys, *base, "--out-dir", str(tmp_path / "a"))
-        _, out2, _ = run(capsys, *base, "--dense-oracle",
-                         "--out-dir", str(tmp_path / "b"))
-        e1 = float(read_rows(out1)[0]["E0"])
-        e2 = float(read_rows(out2)[0]["E0"])
-        assert e1 == pytest.approx(e2, abs=1e-9)
 
 
 class TestCompare:
@@ -412,7 +419,7 @@ NON_FINITE = {
     "solve --n-atoms 4 --omega nan": "omega must be positive and finite, got nan",
     "solve --n-atoms 4 --lambda nan": "lam must be non-negative and finite, got nan",
     "solve --n-atoms 4 --lambda inf": "lam must be non-negative and finite, got inf",
-    "solve --n-atoms 4 --alpha inf": "config key 'alpha': must be finite and >= 0, got inf",
+    "solve --n-atoms 4 --alpha inf": "alpha must be non-negative and finite, got inf",
     "solve --n-atoms 4 --delta inf": "delta must be positive and finite, got inf",
     "solve --n-atoms 4 --solver-tol inf": "--solver-tol must be positive and finite, got inf",
     "solve --n-atoms 4 --threshold inf": "--threshold must be positive and finite, got inf",
@@ -432,16 +439,17 @@ NON_FINITE = {
 }
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("a solve started")
+
+
 class TestBadNumbersExit2:
     """Bad numbers end in exit 2 with context, before any solve."""
 
     @pytest.fixture(autouse=True)
     def no_solve(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a solve started")
-
         for name in ("converge", "run_jobs", "observable_sweep", "deviation_series"):
-            monkeypatch.setattr(cli, name, refuse)
+            monkeypatch.setattr(cli, name, _refuse)
 
     @pytest.mark.parametrize("argv,flag", [
         (argv, flag)
@@ -571,6 +579,39 @@ class TestBadNumbersExit2:
         code, out, err = run(capsys, *argv.split(), "--workers", "1", "--out-dir", str(tmp_path))
         assert (code, out, err) == (2, "", f"config error: {NON_FINITE[argv]}\n")
 
+    def test_negative_alpha(self, tmp_path, capsys):
+        """--alpha reads like the other model numbers, not as a config key
+        (its infinite value is a NON_FINITE case)."""
+        code, out, err = run(capsys, "solve", "--n-atoms", "4", "--alpha", "-1",
+                             "--workers", "1", "--out-dir", str(tmp_path))
+        assert (code, out, err) == (
+            2, "", "config error: alpha must be non-negative and finite, got -1.0\n")
+
+    def test_one_entry_schedule(self, tmp_path, capsys, monkeypatch):
+        """The truncation loop accepts by comparing consecutive steps, so a
+        one-entry schedule is refused before its first solve."""
+        monkeypatch.setattr(cli, "converge", observables.converge)
+        monkeypatch.setattr(observables, "ground_state", _refuse)
+        code, out, err = run(capsys, "solve", "--n-atoms", "4", "--lambda", "0.5",
+                             "--ntr-schedule", "6", "--workers", "1", "--out-dir", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == ("config error: the truncation schedule needs two or more entries "
+                       "to compare, got [6]\n")
+
+    def test_huge_grid_refused_unbuilt(self, tmp_path, capsys):
+        """A start:stop:step grid of more than MAX_GRID_POINTS points exits 2,
+        naming its size, without allocating it."""
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "compare", "--n-atoms", "4", "--lambdas", "0:1e9:1",
+                                 "--workers", "1", "--out-dir", str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err == "config error: range '0:1e9:1' has 1,000,000,001 points; at most 100,000\n"
+        assert peak < 1_000_000
+
     @pytest.mark.parametrize("flag,value", [("--omega", "0"), ("--delta", "-1")])
     def test_bad_at_critical_energies(self, tmp_path, capsys, flag, value):
         code, out, err = run(capsys, "converge", "--at-critical", "--N", "16,32",
@@ -621,9 +662,11 @@ class TestArgparseBehavior:
         ["scaling", "--observable", "energy", "--D", "1"],
         ["converge", "--at-critical", "--N", "16,32"],
         ["converge", "--n-atoms", "8", "--lambdas", "0.5"],
+        ["solve", "--n-atoms", "8", "--lambda", "0.5"],
+        ["compare", "--n-atoms", "8", "--lambdas", "0.5"],
     ])
     def test_dense_oracle_only_where_used(self, capsys, argv):
-        """Only solve and compare pass --dense-oracle to the solver."""
+        """No command takes --dense-oracle: every solve is the certified one."""
         with pytest.raises(SystemExit) as info:
             main(argv + ["--dense-oracle"])
         assert info.value.code == 2

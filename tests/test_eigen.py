@@ -15,7 +15,7 @@ from dicke_ed.hamiltonian import (
 )
 from dicke_ed.model import ModelParams, critical_coupling
 
-from oracles import lowest_pair, norm_estimate, parity_operator
+from oracles import dense, lowest_pair, norm_estimate, parity_operator
 
 LAMBDAS = (0.0, 0.3, 0.5, 1.0, 2.0)
 SECTORS = ("even", "odd", "full")
@@ -58,9 +58,9 @@ class TestGroundState:
     def test_dense_and_shift_invert_agree(self):
         p = ModelParams(10, 1.0, 1.0, 0.7)
         h = assemble_dcs(p, 9)
-        gd = ground_state(h, dense=True)
+        gd, _ = lowest_pair(h)
         gl = ground_state(h)
-        assert gd.method == "dense" and gl.method == "shift-invert"
+        assert gl.method == "shift-invert"
         assert gd.energy == pytest.approx(gl.energy, abs=1e-10)
         overlap = abs(gd.vector @ gl.vector)
         assert overlap == pytest.approx(1.0, abs=1e-8)
@@ -103,7 +103,7 @@ class TestGroundState:
         warm = ground_state(h, v0=padded.reshape(-1))
         assert warm.factorizations == 2
         assert warm.iterations > warm.factorizations
-        exact = eigh(h.to_dense(), subset_by_index=(0, 0), eigvals_only=True)[0]
+        exact = eigh(dense(h), subset_by_index=(0, 0), eigvals_only=True)[0]
         assert warm.lower_bound <= exact
         assert warm.energy == pytest.approx(exact, rel=1e-12)
 
@@ -116,7 +116,6 @@ class TestGroundState:
         assert ground_state(full).bandwidth <= 18
         small = project_parity(assemble_dfs(ModelParams(32, 1.0, 1.0, 0.5), 4), "even")
         assert ground_state(small).bandwidth == 5
-        assert ground_state(small, dense=True).bandwidth is None
 
     def test_reports_trimmed_bandwidth(self):
         """A displaced-basis solve reports the K + w rows it factored."""
@@ -130,14 +129,13 @@ class TestGroundState:
         """The expanded sector vector is the lowest parity eigenvector of the
         unprojected sector-major matrix, in both coordinate orders."""
         full = assemble_dfs(ModelParams(n_atoms, 1.0, 1.0, 0.7), n_tr)
-        vals, vecs = eigh(full.to_dense())
+        vals, vecs = eigh(dense(full))
         parity = np.einsum("ij,ij->j", vecs, parity_operator(n_atoms, n_tr).to_dense() @ vecs)
         for sector, sign in (("even", 1.0), ("odd", -1.0)):
             oracle = vecs[:, np.argmax(np.abs(parity - sign) < 1e-6)]
-            h = project_parity(full, sector)
-            for gs in (ground_state(h), ground_state(h, dense=True)):
-                assert min(np.max(np.abs(gs.vector - oracle)),
-                           np.max(np.abs(gs.vector + oracle))) < 1e-7
+            gs = ground_state(project_parity(full, sector))
+            assert min(np.max(np.abs(gs.vector - oracle)),
+                       np.max(np.abs(gs.vector + oracle))) < 1e-7
 
     @pytest.mark.parametrize("n_atoms,lam,winner", [(31, 2.0, "odd"), (32, 0.3, "even")])
     def test_full_is_the_lower_sector(self, n_atoms, lam, winner):
@@ -153,7 +151,7 @@ class TestGroundState:
         assert gs.factorizations == sum(g.factorizations for g in sectors.values())
         assert gs.iterations == sum(g.iterations for g in sectors.values())
         assert gs.bandwidth == max(g.bandwidth for g in sectors.values())
-        exact = eigh(full.to_dense(), subset_by_index=(0, 0), eigvals_only=True)[0]
+        exact = eigh(dense(full), subset_by_index=(0, 0), eigvals_only=True)[0]
         assert gs.lower_bound <= exact <= gs.energy + 1e-12 * abs(exact)
 
     def test_full_factors_only_sector_bands(self, monkeypatch, tmp_path, capsys):
@@ -196,7 +194,7 @@ class TestCertificate:
         grid = [(*case, 1.0) for case in CERT_GRID] + [(*case, 10.0) for case in TRIM_GRID]
         for n_atoms, lam, (basis, n_tr), sector, delta in grid:
             h = sector_matrix(n_atoms, lam, basis, n_tr, sector, delta)
-            exact = eigh(h.to_dense(), subset_by_index=(0, 0), eigvals_only=True)[0]
+            exact = eigh(dense(h), subset_by_index=(0, 0), eigvals_only=True)[0]
             gs = ground_state(h)
             trimmed = basis == "dcs" and gs.bandwidth < 2 * n_tr + 1
             ok = (gs.method == "shift-invert" and (trimmed or delta == 1.0)
@@ -209,7 +207,7 @@ class TestCertificate:
     @pytest.mark.parametrize("lam", [0.0, 0.5, 2.0])
     def test_shift_at_or_above_e0_refused(self, lam):
         h = sector_matrix(8, lam, "dcs", 6, "even")
-        e0 = eigh(h.to_dense(), subset_by_index=(0, 0), eigvals_only=True)[0]
+        e0 = eigh(dense(h), subset_by_index=(0, 0), eigvals_only=True)[0]
         test = ShiftTest(h.band())
         gap = 1e-6 * max(1.0, abs(e0))
         assert test.lowest <= e0
@@ -227,7 +225,7 @@ class TestCertificate:
         window still holds it."""
         monkeypatch.setattr(hamiltonian, "_DROP_LEVEL", 1e-3)
         h = sector_matrix(n_atoms, LAM_C10, "dcs", 24, sector, delta=10.0)
-        e0 = eigh(h.to_dense(), subset_by_index=(0, 0), eigvals_only=True)[0]
+        e0 = eigh(dense(h), subset_by_index=(0, 0), eigvals_only=True)[0]
         assert h.bandwidth < 49 and h.dropped > 1e-3
         test = ShiftTest(h.band(), h.dropped)
         assert test.lowest - 2.0 * test.slack <= e0
@@ -239,7 +237,7 @@ class TestCertificate:
         """Started on an excited eigenvector, the residual is already tiny; the
         closing factorization finds the spectrum below it and refuses."""
         h = sector_matrix(6, 0.7, "dcs", 6, "even")
-        vals, vecs = eigh(h.to_dense(), subset_by_index=(0, 1))
+        vals, vecs = eigh(dense(h), subset_by_index=(0, 1))
         with pytest.raises(ConvergenceError) as info:
             ground_state(h, v0=h.expand(vecs[:, 1]))
         assert info.value.residual is not None
@@ -263,7 +261,7 @@ class TestLapackPair:
     def test_bit_identical_to_scipy_linalg(self, n_atoms, basis, n_tr, sector, order):
         h = sector_matrix(n_atoms, 0.7, basis, n_tr, sector)
         assert getattr(h, "boson_major", False) == (order == "boson")
-        vals = eigh(h.to_dense(), eigvals_only=True)
+        vals = eigh(dense(h), eigvals_only=True)
         x0 = np.random.default_rng(n_atoms).standard_normal(h.dim)
         test = ShiftTest(h.band())
         outcomes = []

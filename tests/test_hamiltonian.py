@@ -8,7 +8,6 @@ from scipy.linalg import eigh
 from dicke_ed import hamiltonian
 from dicke_ed.errors import DimensionCapError
 from dicke_ed.hamiltonian import (
-    _band_to_dense,
     assemble_dcs,
     assemble_dfs,
     dump_coo,
@@ -18,6 +17,7 @@ from dicke_ed.eigen import ground_state
 from dicke_ed.model import ModelParams, critical_coupling
 
 from oracles import (
+    dense,
     displaced_truncated_ground,
     kron_original,
     kron_rotated,
@@ -53,7 +53,7 @@ class TestAssembly:
         """Bare-basis matrix must agree entry-wise with an independent kron build
         at identical truncation (up to the basis ordering permutation)."""
         n_tr = 9
-        H = assemble_dfs(params, n_tr).to_dense()
+        H = dense(assemble_dfs(params, n_tr))
         O = kron_rotated(params.n_atoms, params.omega, params.delta, params.lam, n_tr)
         # package layout is sector-major, oracle is boson-major: permute
         S, K = params.n_atoms + 1, n_tr + 1
@@ -63,7 +63,7 @@ class TestAssembly:
     @pytest.mark.parametrize("params", PARAM_GRID, ids=str)
     def test_hermiticity(self, params):
         for assemble in (assemble_dcs, assemble_dfs):
-            H = assemble(params, 8).to_dense()
+            H = dense(assemble(params, 8))
             assert np.max(np.abs(H - H.T)) < 1e-12
 
     def test_rotated_equals_original_frame_spectrum(self):
@@ -93,7 +93,7 @@ class TestAssembly:
         for params in PARAM_GRID[:2]:
             for assemble in (assemble_dcs, assemble_dfs):
                 h = assemble(params, 7)
-                H = h.to_dense()
+                H = dense(h)
                 for _ in range(3):
                     x = rng.standard_normal(h.dim)
                     assert np.allclose(h.matvec(x), H @ x, atol=1e-12)
@@ -102,7 +102,7 @@ class TestAssembly:
         for params in PARAM_GRID:
             for assemble in (assemble_dcs, assemble_dfs):
                 h = assemble(params, 8)
-                top = np.max(np.abs(np.linalg.eigvalsh(h.to_dense())))
+                top = np.max(np.abs(np.linalg.eigvalsh(dense(h))))
                 assert norm_estimate(h) >= top
 
     def test_dimension_and_cap(self):
@@ -122,7 +122,7 @@ class TestAssembly:
         for line in lines:
             r, c, v = line.split()
             M[int(r), int(c)] = float(v)
-        assert np.allclose(M, h.to_dense(), atol=1e-15)
+        assert np.allclose(M, dense(h), atol=1e-15)
 
 
 class TestVariationalStructure:
@@ -198,7 +198,7 @@ class TestParity:
         n_tr = 7
         P = parity_operator(params.n_atoms, n_tr).to_dense()
         for assemble in (assemble_dcs, assemble_dfs):
-            H = assemble(params, n_tr).to_dense()
+            H = dense(assemble(params, n_tr))
             assert np.max(np.abs(H @ P - P @ H)) < 1e-10
 
     def test_ground_state_is_parity_eigenvector(self):
@@ -217,10 +217,10 @@ class TestParity:
             he, ho = project_parity(h, "even"), project_parity(h, "odd")
             assert he.dim + ho.dim == h.dim
             merged = np.sort(np.concatenate([
-                np.linalg.eigvalsh(he.to_dense()),
-                np.linalg.eigvalsh(ho.to_dense()),
+                np.linalg.eigvalsh(dense(he)),
+                np.linalg.eigvalsh(dense(ho)),
             ]))
-            full = np.linalg.eigvalsh(h.to_dense())
+            full = np.linalg.eigvalsh(dense(h))
             assert np.max(np.abs(merged - full)) < 1e-10
 
     def test_projection_preserves_ground_energy(self):
@@ -242,12 +242,14 @@ class TestParity:
             assert np.allclose(hp.restrict(x), u, atol=1e-13)
 
     @pytest.mark.parametrize("n_atoms", [1, 2, 5, 6, 31, 32])
-    def test_projected_band_matches_matvec(self, n_atoms):
+    def test_projected_band_matches_matvec(self, monkeypatch, n_atoms):
         """The band (centre coupling for even N, fold for odd N) equals the
-        matrix of the expand/restrict round trip, column by column.  The bare
+        matrix of the expand/restrict round trip, column by column; at drop
+        level 0 the displaced-basis band keeps every kernel entry.  The bare
         basis is checked on both sides of the switch to boson-major order,
         which it takes when the layer width S' (kept sectors, plus the centre)
         is below K = n_tr + 1, with a band S' wide."""
+        monkeypatch.setattr(hamiltonian, "_DROP_LEVEL", 0.0)
         p = ModelParams(n_atoms, 1.0, 0.8, 0.9)
         layer = (n_atoms + 1) // 2 + (n_atoms + 1) % 2
         cases = [(assemble_dcs, n_tr) for n_tr in (0, 3, 6)]
@@ -258,7 +260,7 @@ class TestParity:
                 cols = np.column_stack([hp.matvec(e) for e in np.eye(hp.dim)])
                 ab = hp.band()
                 assert ab.flags.f_contiguous
-                assert np.max(np.abs(hp.to_dense() - cols)) < 1e-12
+                assert np.max(np.abs(dense(ab) - cols)) < 1e-12
                 boson_major = assemble is assemble_dfs and layer < n_tr + 1
                 assert hp.boson_major == boson_major
                 width = layer if boson_major else hp.full.bandwidth
@@ -268,26 +270,31 @@ class TestParity:
     @pytest.mark.parametrize("level", [None, 1e-3])
     def test_trimmed_band_is_the_leading_rows(self, monkeypatch, n_atoms, level):
         """The displaced-basis band keeps the first K + w + 1 rows of the whole
-        band in both parity sectors (centre coupling for even N, fold for odd
-        N); ``dropped`` bounds the 2-norm of the rest, and ``to_dense`` is the
-        whole matrix, column by column through matvec.  The raised drop level
-        makes the dropped part large enough to see."""
+        band, assembled at drop level 0, in both parity sectors (centre
+        coupling for even N, fold for odd N); ``dropped`` bounds the 2-norm of
+        the rest, and the whole band is the matrix, column by column through
+        matvec.  The raised drop level makes the dropped part large enough to
+        see."""
         if level is not None:
             monkeypatch.setattr(hamiltonian, "_DROP_LEVEL", level)
         p = ModelParams(n_atoms, 1.0, 10.0, critical_coupling(1.0, 10.0))
         full = assemble_dcs(p, 48)
         w = full.kernel_width
         assert 0 < w < 48
-        for h in (project_parity(full, "even"), project_parity(full, "odd")):
-            ab, whole = h.band(), h.band(trim=False)
+        monkeypatch.setattr(hamiltonian, "_DROP_LEVEL", 0.0)
+        untrimmed = assemble_dcs(p, 48)
+        for sector in ("even", "odd"):
+            h = project_parity(full, sector)
+            ab, whole = h.band(), project_parity(untrimmed, sector).band()
             assert ab.flags.f_contiguous
             assert ab.shape[0] == h.bandwidth + 1 == 49 + w + 1
             assert whole.shape[0] == 2 * 49
             assert np.array_equal(ab, whole[: ab.shape[0]])
-            dense = h.to_dense()
-            assert np.linalg.norm(dense - _band_to_dense(ab), 2) <= h.dropped
+            H = dense(whole)
+            assert np.linalg.norm(H - dense(ab), 2) <= h.dropped
             cols = np.column_stack([h.matvec(e) for e in np.eye(h.dim)])
-            assert np.max(np.abs(dense - cols)) < 1e-12
+            assert np.max(np.abs(H - cols)) < 1e-12
+            assert np.max(np.abs(dense(h) - cols)) < 1e-12
 
     def test_strong_coupling_doublet(self):
         p = ModelParams(8, 1.0, 1.0, 1.0)  # alpha = 4

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dicke_ed.errors import ConvergenceError
+from dicke_ed.errors import ConfigError, ConvergenceError
 from dicke_ed.eigen import GroundState, ground_state
 from dicke_ed.hamiltonian import assemble_dcs, assemble_dfs, project_parity
 from dicke_ed import observables
@@ -269,12 +269,13 @@ class TestConvergeDriver:
             converge(p, threshold=1e-30, schedule=(4, 6, 8))
         assert len(info.value.history) == 3
 
-    def test_dense_oracle_path_matches(self):
-        p = ModelParams(12, 1.0, 1.0, 0.7)
-        a = converge(p, threshold=1e-8)
-        b = converge(p, threshold=1e-8, dense=True)
-        assert a.values["e0"] == pytest.approx(b.values["e0"], abs=1e-9)
-        assert a.values["c_n"] == pytest.approx(b.values["c_n"], abs=1e-8)
+    @pytest.mark.parametrize("schedule", [(), (6,)])
+    def test_rejects_schedule_below_two_entries(self, monkeypatch, schedule):
+        """Acceptance compares consecutive steps, so a schedule of one entry
+        could never be accepted; it is refused before any solve."""
+        monkeypatch.setattr(observables, "ground_state", None)
+        with pytest.raises(ConfigError, match=r"two or more entries to compare, got \["):
+            converge(ModelParams(4, 1.0, 1.0, 0.5), schedule=schedule)
 
     def test_result_row_schema(self):
         p = ModelParams(8, 1.0, 2.0, 0.5)

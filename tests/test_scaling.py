@@ -183,7 +183,7 @@ class TestPhysicalSeries:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failed_point_names_its_size(self, workers):
         with pytest.raises(ConvergenceError, match=r"sweep point N=16 failed") as info:
-            observable_sweep(1.0, (16, 32), threshold=1e-8, schedule=(4,),
+            observable_sweep(1.0, (16, 32), threshold=1e-30, schedule=(4, 6),
                              workers=workers)
         assert info.value.history
 
