@@ -14,8 +14,9 @@ the previous step's factor when that step's contraction predicts the target
 is reached, r_new**2 <= target * r_old; ``factorizations`` may then be below
 ``iterations``, and such steps count against MAX_FACTORIZATIONS.  Once the
 residual r is at most target = tol*max(1, |theta|), one more factorization
-proves the returned energy the lowest; if it fails, ConvergenceError.  Only
-the band and one factor are alive at a time.  The displaced basis hands over
+proves the returned energy the lowest; if it fails, ConvergenceError.  There
+is one band-sized array: each factorization overwrites it, and the next one
+first rewrites it from the operator.  The displaced basis hands over
 a band H~ = H - E trimmed to K + w rows and a bound ``dropped`` >= ||E||_2;
 by Weyl's inequality no eigenvalue moves further, so it joins the slack and
 every shift test still speaks of H.  H commutes with parity (Emary & Brandes,
@@ -111,42 +112,47 @@ def _canonical_sign(vec: np.ndarray) -> np.ndarray:
 
 
 class ShiftTest:
-    """Positive-definiteness tests of H - sigma*I on one reused work array.
+    """Positive-definiteness tests of H - sigma*I on the one band of ``h``.
 
-    ``slack`` bounds the factorization's backward error (|F| <= (u+1)*eps*
-    |L||L^T|, 2u+1 entries a row, diagonal below the Gershgorin spread) plus
-    ``dropped``, and each test factors at sigma + slack: a success proves
-    sigma <= E0, so a shift at or above E0 is refused; a failure proves
-    E0 < sigma + 2*slack.
+    The first test factors the freshly built band; each later one rewrites
+    that same array from ``h`` first, so no second band-sized array exists.
+    The Gershgorin bounds, the diagonal minimum and ``bandwidth`` come from
+    the first build.  ``slack`` bounds the factorization's backward error
+    (|F| <= (u+1)*eps*|L||L^T|, 2u+1 entries a row, diagonal below the
+    Gershgorin spread) plus ``h.dropped``, and each test factors at
+    sigma + slack: a success proves sigma <= E0, so a shift at or above E0 is
+    refused; a failure proves E0 < sigma + 2*slack.
     """
 
-    def __init__(self, ab: np.ndarray, dropped: float = 0.0):
-        self.ab = ab
-        self.work = np.empty_like(ab, order="F")
-        u = ab.shape[0] - 1
-        self.lowest, highest = gershgorin(ab)
+    def __init__(self, h):
+        self.h = h
+        self.ab = h.band()
+        self.bandwidth = u = self.ab.shape[0] - 1
+        self.diag_min = float(self.ab[0].min())
+        self.lowest, highest = gershgorin(self.ab)
         self.slack = (2 * u + 1) * (u + 1) * np.finfo(float).eps * max(
-            highest - self.lowest, 1.0) + dropped
+            highest - self.lowest, 1.0) + h.dropped
         self.count = 0
 
     def below_spectrum(self, sigma: float) -> bool:
-        """True proves sigma <= E0; the work array then holds the factor."""
+        """True proves sigma <= E0; the band then holds the factor."""
+        if self.count:
+            self.h.band(out=self.ab)
         self.count += 1
-        self.work[...] = self.ab
-        self.work[0] -= sigma + self.slack
-        self.work, info = _dpbtrf(self.work, lower=1, overwrite_ab=1)
+        self.ab[0] -= sigma + self.slack
+        self.ab, info = _dpbtrf(self.ab, lower=1, overwrite_ab=1)
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of dpbtrf")
         # info > 0: a leading minor is not positive definite
         return info == 0
 
-    def step(self, h, x: np.ndarray):
+    def step(self, x: np.ndarray):
         """One inverse-iteration step with the current factor: (x, theta, r)."""
-        x, info = _dpbtrs(self.work, x, lower=1)
+        x, info = _dpbtrs(self.ab, x, lower=1)
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of dpbtrs")
         x /= np.linalg.norm(x)
-        return (x, *_rayleigh(h, x))
+        return (x, *_rayleigh(self.h, x))
 
 
 def _rayleigh(h, x: np.ndarray) -> tuple[float, float]:
@@ -157,15 +163,15 @@ def _rayleigh(h, x: np.ndarray) -> tuple[float, float]:
 
 def _certified_lowest(h, tol: float, seed: int, v0: np.ndarray | None):
     """Returns (x, theta, residual, lower_bound, steps, test); ``test`` holds
-    the factorization count and the band."""
-    test = ShiftTest(h.band(), h.dropped)
+    the factorization count and the bandwidth."""
+    test = ShiftTest(h)
     if v0 is None or not np.any(v0):
         v0 = default_rng(seed).standard_normal(h.dim)
     x = np.array(v0, dtype=float) / np.linalg.norm(v0)
     theta, r = _rayleigh(h, x)
     # proven: lo <= E0 (strictly below the Gershgorin bound) and E0 <= hi
     lo = test.lowest - 2.0 * test.slack
-    hi = min(theta, float(test.ab[0].min()))
+    hi = min(theta, test.diag_min)
     steps = reused = 0
     keep = False
     while test.count + reused < MAX_FACTORIZATIONS:
@@ -177,7 +183,7 @@ def _certified_lowest(h, tol: float, seed: int, v0: np.ndarray | None):
                     f"eigenvalue {theta:.12g} (residual {r:.3e}) is not the lowest: "
                     f"the spectrum reaches below {sigma:.12g}", residual=r)
             # the certified shift is the closest yet: one more cheap step
-            return (*test.step(h, x), sigma, steps + 1, test)
+            return (*test.step(x), sigma, steps + 1, test)
         if keep:
             reused += 1
         else:
@@ -194,7 +200,7 @@ def _certified_lowest(h, tol: float, seed: int, v0: np.ndarray | None):
                     raise ConvergenceError(f"the proven shift {lo:.12g} failed to factor",
                                            residual=r)
         r_old = r
-        x, theta, r = test.step(h, x)
+        x, theta, r = test.step(x)
         steps += 1
         hi = min(hi, theta)
         # if this step's contraction carries the next one to the target, the
@@ -251,5 +257,5 @@ def _sector_ground_state(h, tol, seed, v0) -> GroundState:
         n_atoms=h.params.n_atoms,
         factorizations=test.count,
         lower_bound=bound,
-        bandwidth=test.ab.shape[0] - 1,
+        bandwidth=test.bandwidth,
     )

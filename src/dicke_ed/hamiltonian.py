@@ -14,9 +14,11 @@ sector index:
 
 Both matrices hand over LAPACK lower band storage (``band()``), and the
 solver reads their parity projections the same way; matvec serves the
-residuals.  A displaced-basis sector's band keeps only the kernel
-off-diagonals above a drop level (``assemble_dcs``); matvec, the unprojected
-band and ``dump_coo`` keep every entry.
+residuals.  ``band(out)`` rewrites a given band in one pass from set-up
+cached on the operator, so the solver keeps one band per solve.  A
+displaced-basis sector's band keeps only the kernel off-diagonals above a
+drop level (``assemble_dcs``); matvec, the unprojected band and
+``dump_coo`` keep every entry.
 
 A parity sector has two coordinate orders.  Sector-major (the centre states,
 then each kept sector's K = n_tr + 1 boson states) suits the displaced basis,
@@ -37,6 +39,7 @@ from the derivation.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -123,12 +126,32 @@ class BlockHamiltonian:
         the bare basis's identity."""
         return self.k_dim + self.kernel_width
 
-    def band(self) -> np.ndarray:
+    def band(self, out: np.ndarray | None = None) -> np.ndarray:
         """The whole matrix in LAPACK lower band storage (Fortran order): all
-        2K rows the kernel blocks can reach."""
-        ab = np.zeros((2 * self.k_dim, self.dim), order="F")
+        2K rows the kernel blocks can reach.  Given ``out``, a band of that
+        shape in Fortran order, it rewrites every entry of it instead."""
+        ab = np.empty((2 * self.k_dim, self.dim), order="F") if out is None else out
         _fill_sectors(self, ab, first=0, offset=0)
         return ab
+
+    @cached_property
+    def _pattern(self) -> np.ndarray:
+        """Band column b of a sector coupled with weight 1 to the next: row
+        K + a - b holds the coupling block's entry (b, a).  The other rows hold
+        -0.0, which the negative couplings scale to the +0.0 of a zeroed band."""
+        K = self.k_dim
+        pattern = np.full((K, 2 * K), -0.0)
+        if self.basis == "dcs":
+            b = np.arange(K)[:, np.newaxis]
+            pattern[b, K - b + np.arange(K)] = self.kernel_up
+        else:
+            pattern[:, K] = 1.0
+        return pattern
+
+    @cached_property
+    def _hop(self) -> np.ndarray:
+        """Bare-basis boson hopping (k, k + 1) of each sector, as an (S, K - 1) table."""
+        return self.boson_amp[:, np.newaxis] * np.sqrt(np.arange(1, self.k_dim))
 
 
 def _check_dim(params: ModelParams, n_tr: int, max_dim: int | None):
@@ -143,24 +166,22 @@ def _check_dim(params: ModelParams, n_tr: int, max_dim: int | None):
 
 
 def _fill_sectors(h: BlockHamiltonian, ab: np.ndarray, first: int, offset: int):
-    """Write sectors first..S-1 of ``h`` into the lower band ``ab``, the block
-    of sector ``first`` starting at row and column ``offset``."""
-    K = h.k_dim
-    m = h.s_dim - first
-    cols = slice(offset, offset + m * K)
-    ab[0, cols] = h.diag[first:].ravel()
-    coup = h.spin_coup[first:]
+    """Write sectors first, first + 1, ... of ``h`` into every row of the
+    lower band ``ab``'s columns from ``offset`` on, the block of sector
+    ``first`` starting at row and column ``offset``.
+
+    Column (t, b) is spin_coup[first + t] * ``_pattern``[b] (zero past the
+    last sector), with the diagonal on row 0 and, in the bare basis, the
+    boson hopping on row 1: one pass over the columns, no loop."""
+    K, rows = h.k_dim, ab.shape[0]
+    blocks = ab.T[offset:].reshape(-1, K, rows)  # a view: blocks[t, b] is column (t, b)
+    m = len(blocks)
+    coup = h.spin_coup[first: first + m]
+    np.multiply(coup[:, np.newaxis, np.newaxis], h._pattern[:, :rows], out=blocks[: len(coup)])
+    blocks[len(coup):] = 0.0
+    blocks[:, :, 0] = h.diag[first: first + m]
     if h.basis == "dfs":
-        hop = np.zeros((m, K))
-        hop[:, :-1] = h.boson_amp[first:, np.newaxis] * np.sqrt(np.arange(1, K))
-        ab[1, cols] = hop.ravel()
-        ab[K, offset: offset + (m - 1) * K] = np.repeat(coup, K)
-        return
-    # row (t+1, a), column (t, b) holds coup[t] * kernel_up[b, a], at band row K+a-b
-    for b in range(K):
-        top = min(K, ab.shape[0] - K + b)  # a trimmed band stops at its last row
-        ab[K - b: K - b + top, offset + b: offset + (m - 1) * K: K] = np.outer(
-            h.kernel_up[b, :top], coup)
+        blocks[:, :-1, 1] = h._hop[first: first + m]
 
 
 def gershgorin(ab: np.ndarray) -> tuple[float, float]:
@@ -327,20 +348,35 @@ class ProjectedHamiltonian:
     def matvec(self, u: np.ndarray) -> np.ndarray:
         return self.restrict(self.full.matvec(self.expand(u)))
 
-    def band(self) -> np.ndarray:
+    def band(self, out: np.ndarray | None = None) -> np.ndarray:
         """The projected matrix in LAPACK lower band storage (Fortran order),
-        ``full.bandwidth`` deep.
+        ``bandwidth`` deep.  Given ``out``, a band of that shape in Fortran
+        order, it rewrites every entry of it instead, from set-up cached on
+        first use.
 
         Sectors above the centre keep their blocks.  With a centre sector
         (even N) its retained states couple to the first kept sector with
         weight sqrt(2); without one the mirror coupling folds into the first
         kept diagonal block as sign * B^T * (-1)^k'.
         """
+        ab = np.empty((self.bandwidth + 1, self.dim), order="F") if out is None else out
         if self.boson_major:
-            return self._boson_major_band()
+            ab.fill(0.0)
+            idx, values = self._scatter
+            ab.T.reshape(-1)[idx] = values
+            return ab
+        _fill_sectors(self.full, ab, first=self._upper[0], offset=len(self._center_keep))
+        head = self._head
+        ab[:, : head.shape[1]] = head
+        return ab
+
+    @cached_property
+    def _head(self) -> np.ndarray:
+        """The sector-major band's first nc + K columns: the centre states (even
+        N) or the fold (odd N) on top of the first kept sector."""
         full = self.full
         K, nc, i0 = full.k_dim, len(self._center_keep), self._upper[0]
-        ab = np.zeros((full.bandwidth + 1, self.dim), order="F")
+        ab = np.zeros((full.bandwidth + 1, nc + K), order="F")
         _fill_sectors(full, ab, first=i0, offset=nc)
         B = full.offdiag_block(i0 - 1)
         if self._has_center:
@@ -356,28 +392,33 @@ class ProjectedHamiltonian:
                 ab[: K - b, b] += fold[b:, b]
         return ab
 
-    def _boson_major_band(self) -> np.ndarray:
-        """The bare-basis band in boson-major order, written entry by entry
-        with the same values as the sector-major one."""
+    @cached_property
+    def _scatter(self) -> tuple[np.ndarray, np.ndarray]:
+        """The boson-major band's entries, with the same values as the
+        sector-major one: their flat positions in Fortran order, and values."""
         full = self.full
         K, nc, i0 = full.k_dim, len(self._center_keep), self._upper[0]
+        rows = self.bandwidth + 1
         pos = np.empty(self.dim, dtype=int)
         pos[self._order] = np.arange(self.dim)
-        P = pos[nc:].reshape(-1, K).T  # P[k, t]: sector i0 + t, boson number k
-        ab = np.zeros((self.bandwidth + 1, self.dim), order="F")
-        ab[0, P] = full.diag[i0:].T
-        ab[1, P[:, :-1]] = full.spin_coup[i0:]
+        P = pos[nc:].reshape(-1, K).T * rows  # P[k, t]: sector i0 + t, boson number k
+        diag = full.diag[i0:].T.copy()
         # the same sector one layer up sits a layer width (S' or S' - 1) later
-        step = P.shape[1] + np.isin(np.arange(1, K), self._center_keep)
-        ab[step[:, np.newaxis], P[:-1]] = full.boson_amp[i0:] * np.sqrt(
-            np.arange(1, K))[:, np.newaxis]
+        kept = np.zeros(K, dtype=bool)
+        kept[self._center_keep] = True
+        step = P.shape[1] + kept[1:, np.newaxis]
+        hop = full.boson_amp[i0:] * np.sqrt(np.arange(1, K))[:, np.newaxis]
+        coup = np.tile(full.spin_coup[i0:], K)
+        idx, values = [P, P[:, :-1] + 1, P[:-1] + step], [diag, coup, hop]
         if self._has_center:
             # the centre's own hopping amplitude is omega * g_0 = 0
-            ab[0, pos[:nc]] = full.diag[self._center, self._center_keep]
-            ab[1, pos[:nc]] = math.sqrt(2.0) * full.spin_coup[self._center]
+            idx += [pos[:nc] * rows, pos[:nc] * rows + 1]
+            values += [full.diag[self._center, self._center_keep],
+                       np.full(nc, math.sqrt(2.0) * full.spin_coup[self._center])]
         else:
-            ab[0, P[:, 0]] += self.sign * full.spin_coup[i0 - 1] * self._ksigns
-        return ab
+            diag[:, 0] += self.sign * full.spin_coup[i0 - 1] * self._ksigns
+        return (np.concatenate([i.ravel() for i in idx]),
+                np.concatenate([v.ravel() for v in values]))
 
 
 def project_parity(h: BlockHamiltonian, sector: str) -> "BlockHamiltonian | ProjectedHamiltonian":

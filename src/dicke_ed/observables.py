@@ -121,13 +121,16 @@ class ConvergedResult:
     """The truncation loop's solves: ``history`` holds each step's
     GroundState in schedule order, and the last one was accepted.
 
-    ``values`` holds every observable of ``ground``, computed on first read,
-    so a caller that needs only the energy never pays for the spin moments.
+    ``tracked`` holds the accepted step's tracked observables, as the loop
+    computed them.  ``values`` holds every observable of ``ground``, computed
+    on first read, so a caller that needs only the energy never pays for the
+    spin moments.
     """
 
     params: ModelParams
     sector: str
     history: list = field(repr=False)
+    tracked: dict
 
     @property
     def ground(self) -> GroundState:
@@ -193,7 +196,7 @@ def converge(
         vals = observable_set(history[-1], params, track)
         if prev is not None and all(
                 abs(vals[k] - prev[k]) / max(abs(vals[k]), 1e-12) < threshold for k in track):
-            return ConvergedResult(params=params, sector=sector, history=history)
+            return ConvergedResult(params=params, sector=sector, history=history, tracked=vals)
         prev = vals
     raise ConvergenceError(
         f"schedule exhausted at n_tr={schedule[-1]} without reaching {threshold:g} "

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConvergenceError, FitError
 from .model import ModelParams, critical_coupling
-from .observables import DEFAULT_SCHEDULE, converge, observable_set
+from .observables import DEFAULT_SCHEDULE, converge
 
 __all__ = [
     "ScalingSeries",
@@ -173,7 +173,7 @@ def _sweep_point(n: int, *, omega: float, delta: float, lam: float, **settings) 
     except ConvergenceError as exc:
         raise ConvergenceError(f"sweep point N={n} failed: {exc}", residual=exc.residual,
                                history=exc.history) from exc
-    return {**observable_set(res.ground, params, settings["track"]), "n_tr_used": res.n_tr_used}
+    return {**res.tracked, "n_tr_used": res.n_tr_used}
 
 
 def observable_sweep(

@@ -149,6 +149,70 @@ def lowest_pair(h):
     )
 
 
+def _loop_fill_sectors(h, ab, first: int, offset: int):
+    """Write sectors first..S-1 of an assembled matrix into the zeroed lower
+    band ``ab``, sector ``first`` at row and column ``offset``: the bare
+    basis row by row, the displaced basis one kernel row at a time."""
+    K = h.k_dim
+    m = h.s_dim - first
+    cols = slice(offset, offset + m * K)
+    ab[0, cols] = h.diag[first:].ravel()
+    coup = h.spin_coup[first:]
+    if h.basis == "dfs":
+        hop = np.zeros((m, K))
+        hop[:, :-1] = h.boson_amp[first:, np.newaxis] * np.sqrt(np.arange(1, K))
+        ab[1, cols] = hop.ravel()
+        ab[K, offset: offset + (m - 1) * K] = np.repeat(coup, K)
+        return
+    # row (t+1, a), column (t, b) holds coup[t] * kernel_up[b, a], at band row K+a-b
+    for b in range(K):
+        top = min(K, ab.shape[0] - K + b)  # a trimmed band stops at its last row
+        ab[K - b: K - b + top, offset + b: offset + (m - 1) * K: K] = np.outer(
+            h.kernel_up[b, :top], coup)
+
+
+def loop_band(h) -> np.ndarray:
+    """Lower band of an assembled matrix (all 2K rows) or of a parity sector
+    (``h.bandwidth`` deep), built by loops from the assembled blocks.
+
+    A sector-major sector keeps the kept sectors' blocks; the centre states
+    (even N) couple to the first kept sector with weight sqrt(2), or (odd N)
+    the mirror coupling folds into its diagonal block.  A boson-major sector
+    is that band, expanded to a dense matrix and permuted layer by layer.
+    """
+    if not hasattr(h, "expand"):
+        ab = np.zeros((2 * h.k_dim, h.dim), order="F")
+        _loop_fill_sectors(h, ab, 0, 0)
+        return ab
+    full, sign = h.full, 1.0 if h.sector == "even" else -1.0
+    S, K = full.s_dim, full.k_dim
+    keep = np.nonzero((-1.0) ** np.arange(K) == sign)[0] if S % 2 else np.empty(0, int)
+    nc, i0 = len(keep), (S + 1) // 2
+    ab = np.zeros((full.bandwidth + 1, h.dim), order="F")
+    _loop_fill_sectors(full, ab, i0, nc)
+    B = full.offdiag_block(i0 - 1)
+    if S % 2:
+        ab[0, :nc] = full.diag[S // 2, keep]
+        for c, k in enumerate(keep):
+            top = min(K, ab.shape[0] - nc + c)
+            ab[nc - c: nc - c + top, c] = math.sqrt(2.0) * B[k, :top]
+    else:
+        fold = sign * B.T * np.where(np.arange(K) % 2, -1.0, 1.0)
+        for b in range(K):
+            ab[: K - b, b] += fold[b:, b]
+    if not h.boson_major:
+        return ab
+    # layer k: the centre state if kept, then sector i0 + t at nc + t*K + k
+    order = [i for k in range(K)
+             for i in ([int(np.searchsorted(keep, k))] if k in keep else [])
+             + [nc + t * K + k for t in range(S - i0)]]
+    H = dense(ab)[np.ix_(order, order)]
+    band = np.zeros((h.bandwidth + 1, h.dim), order="F")
+    for d in range(min(band.shape[0], h.dim)):
+        band[d, : h.dim - d] = np.diagonal(H, -d)
+    return band
+
+
 def oracle_moments(n_atoms, omega, delta, lam, cutoff):
     """Ground-state spin moments from the dense matrix, even-parity resolved.
 

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from dicke_ed.hamiltonian import (
 )
 from dicke_ed.model import ModelParams, critical_coupling
 
-from oracles import dense, lowest_pair, norm_estimate, parity_operator
+from oracles import dense, loop_band, lowest_pair, norm_estimate, parity_operator
 
 LAMBDAS = (0.0, 0.3, 0.5, 1.0, 2.0)
 SECTORS = ("even", "odd", "full")
@@ -156,13 +157,14 @@ class TestGroundState:
 
     def test_full_factors_only_sector_bands(self, monkeypatch, tmp_path, capsys):
         """During a ``--parity full`` solve every ShiftTest is built on the band
-        of one parity sector, never on the unprojected matrix."""
+        of one parity sector, never on the unprojected matrix; each later
+        factorization rewrites that band from the same sector."""
         seen = []
 
         class Recording(ShiftTest):
-            def __init__(self, ab, dropped=0.0):
-                seen.append(ab.copy())
-                super().__init__(ab, dropped)
+            def __init__(self, h):
+                super().__init__(h)
+                seen.append(self.ab.copy())
 
         monkeypatch.setattr(eigen, "ShiftTest", Recording)
         assert main(["solve", "--n-atoms", "31", "--lambda", "2", "--parity", "full",
@@ -208,7 +210,7 @@ class TestCertificate:
     def test_shift_at_or_above_e0_refused(self, lam):
         h = sector_matrix(8, lam, "dcs", 6, "even")
         e0 = eigh(dense(h), subset_by_index=(0, 0), eigvals_only=True)[0]
-        test = ShiftTest(h.band())
+        test = ShiftTest(h)
         gap = 1e-6 * max(1.0, abs(e0))
         assert test.lowest <= e0
         assert test.below_spectrum(test.lowest - 2.0 * test.slack)
@@ -227,7 +229,7 @@ class TestCertificate:
         h = sector_matrix(n_atoms, LAM_C10, "dcs", 24, sector, delta=10.0)
         e0 = eigh(dense(h), subset_by_index=(0, 0), eigvals_only=True)[0]
         assert h.bandwidth < 49 and h.dropped > 1e-3
-        test = ShiftTest(h.band(), h.dropped)
+        test = ShiftTest(h)
         assert test.lowest - 2.0 * test.slack <= e0
         assert not test.below_spectrum(e0)
         gs = ground_state(h, tol=1e-2)
@@ -263,7 +265,7 @@ class TestLapackPair:
         assert getattr(h, "boson_major", False) == (order == "boson")
         vals = eigh(dense(h), eigvals_only=True)
         x0 = np.random.default_rng(n_atoms).standard_normal(h.dim)
-        test = ShiftTest(h.band())
+        test = ShiftTest(h)
         outcomes = []
         for sigma in (vals[0] - 1.0, 0.5 * (vals[0] + vals[-1]), vals[-1] + 1.0):
             ok = test.below_spectrum(sigma)
@@ -277,9 +279,9 @@ class TestLapackPair:
                 ref_ok = False
             assert ok == ref_ok
             # on failure both hold LAPACK's partial factor
-            assert test.work.tobytes(order="F") == ref.tobytes(order="F")
+            assert test.ab.tobytes(order="F") == ref.tobytes(order="F")
             if ok:
-                x, _, _ = test.step(h, x0)
+                x, _, _ = test.step(x0)
                 y = cho_solve_banded((ref, True), x0, check_finite=False)
                 y /= np.linalg.norm(y)
                 assert x.tobytes() == y.tobytes()
@@ -291,9 +293,61 @@ class TestLapackPair:
         real = eigen._dpbtrf
         monkeypatch.setattr(eigen, "_dpbtrf", lambda ab, **kw: real(
             np.zeros((0, ab.shape[1]), order="F"), **kw))
-        test = ShiftTest(sector_matrix(8, 0.5, "dcs", 6, "even").band())
+        test = ShiftTest(sector_matrix(8, 0.5, "dcs", 6, "even"))
         with pytest.raises(ValueError, match="illegal value in argument 3 of dpbtrf"):
             test.below_spectrum(test.lowest - 1.0)
+
+
+class TestOneBand:
+    """ShiftTest holds one band: the first factorization overwrites the
+    freshly built band, and each later one rewrites it from the operator."""
+
+    @pytest.mark.parametrize("n_atoms,lam,basis,n_tr,sector,delta", [
+        # trimmed displaced-basis bands (w < K - 1), centre (even N) and fold (odd N)
+        *[(n, LAM_C10, "dcs", 48, s, 10.0) for n in (16, 17) for s in ("even", "odd")],
+        # bare basis: sector-major (S' >= K), then boson-major (S' < K)
+        (32, 0.7, "dfs", 4, "even", 1.0),
+        (31, 0.7, "dfs", 4, "odd", 1.0),
+        (12, 0.7, "dfs", 20, "even", 1.0),
+        (13, 0.7, "dfs", 20, "odd", 1.0),
+        # the unprojected matrix, all 2K rows
+        (13, 0.7, "dcs", 7, "full", 1.0),
+        (12, 0.7, "dfs", 20, "full", 1.0),
+    ])
+    def test_rewrite_reproduces_the_band(self, n_atoms, lam, basis, n_tr, sector, delta):
+        """After dpbtrf left a factor, or a partial one, in the band, the
+        rewrite equals the loop-built oracle and a fresh band, value for
+        value, and a fresh band byte for byte."""
+        h = sector_matrix(n_atoms, lam, basis, n_tr, sector, delta)
+        if basis == "dcs" and sector != "full":
+            assert 0 < h.full.kernel_width < n_tr
+        assert getattr(h, "boson_major", False) == (basis == "dfs" and n_tr == 20
+                                                     and sector != "full")
+        oracle = loop_band(h)
+        test = ShiftTest(h)
+        assert np.array_equal(test.ab, oracle)
+        # a shift at the smallest diagonal entry is at or above E0: that factorization fails
+        for sigma, factored in ((test.lowest - 2.0 * test.slack, True), (test.diag_min, False)):
+            assert test.below_spectrum(sigma) == factored
+            assert not np.array_equal(test.ab, oracle)
+            assert h.band(out=test.ab) is test.ab
+            fresh = h.band()
+            assert np.array_equal(test.ab, oracle) and np.array_equal(test.ab, fresh)
+            assert test.ab.tobytes(order="F") == fresh.tobytes(order="F")
+
+    def test_solve_holds_one_band(self):
+        """The traced peak of a cold solve stays within 1.3 times the band's
+        bytes; a second band-sized work array would make it 2."""
+        h = sector_matrix(128, LAM_C10, "dcs", 128, "even", delta=10.0)
+        band_bytes = (h.bandwidth + 1) * h.dim * 8
+        tracemalloc.start()
+        try:
+            gs = ground_state(h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gs.factorizations > 1
+        assert peak <= 1.3 * band_bytes, (peak, band_bytes)
 
 
 class TestLowestPair:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dicke_ed import observables
 from dicke_ed.errors import ConvergenceError, FitError
 from dicke_ed.model import ModelParams, critical_coupling
 from dicke_ed.observables import converge
@@ -174,6 +175,23 @@ class TestPhysicalSeries:
             ref = converge(ModelParams(n, omega, delta, lam), threshold=1e-6,
                            schedule=SCALING_SCHEDULE, track=("e0",))
             assert row == {"e0": ref.ground.energy, "n_tr_used": ref.n_tr_used}
+
+    def test_sweep_computes_spin_moments_once_per_step(self, monkeypatch):
+        """A berry sweep evaluates the spin moments once per truncation step:
+        the row takes the accepted step's tracked values from ``converge``."""
+        calls, steps = [], []
+        spin, solve = observables.spin_expectations, observables.ground_state
+        monkeypatch.setattr(observables, "spin_expectations",
+                            lambda gs, p: calls.append(gs.n_tr) or spin(gs, p))
+        monkeypatch.setattr(observables, "ground_state",
+                            lambda h, **kw: steps.append(h.n_tr) or solve(h, **kw))
+        rows = observable_sweep(1.0, GRID, track=("b_n",), threshold=1e-6)
+        assert len(steps) > len(GRID)
+        assert calls == steps
+        for n, row in zip(GRID, rows):
+            ref = converge(ModelParams(n, 1.0, 1.0, 0.5), threshold=1e-6,
+                           schedule=SCALING_SCHEDULE, track=("b_n",))
+            assert row == {"b_n": ref.tracked["b_n"], "n_tr_used": ref.n_tr_used}
 
     def test_sweep_reproducible(self):
         a = observable_sweep(1.0, (16, 32), threshold=1e-8, seed=1)
