@@ -85,8 +85,10 @@ def parse_n_list(text: str) -> list[int]:
     """Comma list of sizes, or 'a..b' meaning doublings from a through b."""
     text = text.strip()
     if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
+        try:
+            lo, hi = (int(part) for part in text.split("..", 1))
+        except ValueError as exc:
+            raise ConfigError(f"bad size range {text!r}") from exc
         if lo < 1 or hi < lo:
             raise ConfigError(f"bad size range {text!r}")
         out = []

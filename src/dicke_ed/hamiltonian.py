@@ -14,20 +14,22 @@ sector index:
 
 Both matrices hand over LAPACK lower band storage (``band()``), and the
 solver reads their parity projections the same way; matvec serves the
-residuals.  ``band(out)`` rewrites a given band in one pass from set-up
-cached on the operator, so the solver keeps one band per solve.  A
-displaced-basis sector's band keeps only the kernel off-diagonals above a
-drop level (``assemble_dcs``); matvec, the unprojected band and
-``dump_coo`` keep every entry.
+residuals.  ``band(out)`` rewrites a given band from set-up cached on the
+operator, so the solver keeps one band per solve: the displaced basis in one
+pass over its sector columns, the bare basis (whole, or a sector in either
+order) as one scatter of its entries.  A displaced-basis sector's band keeps
+only the kernel off-diagonals above a drop level (``assemble_dcs``); matvec,
+the unprojected band and ``dump_coo`` keep every entry.
 
-A parity sector has two coordinate orders.  Sector-major (the centre states,
-then each kept sector's K = n_tr + 1 boson states) suits the displaced basis,
-whose dense K x K kernel blocks reach 2K - 1 below the diagonal, and puts the
-bare basis's spin coupling K below it.  Boson-major (one layer per boson
-number k: the centre state if kept, then the kept sectors) puts the bare
-basis's spin coupling next to the diagonal and its boson hopping one layer,
-S' = (kept sectors per layer) rows, below it.  A bare-basis sector uses
-boson-major order whenever S' < K; everything else is sector-major.
+A parity sector has two coordinate orders, and its one parity map picks one.
+Sector-major (the centre states, then each kept sector's K = n_tr + 1 boson
+states) suits the displaced basis, whose dense K x K kernel blocks reach
+2K - 1 below the diagonal, and puts the bare basis's spin coupling K below
+it.  Boson-major (one layer per boson number k: the centre state if kept,
+then the kept sectors) puts the bare basis's spin coupling next to the
+diagonal and its boson hopping one layer, S' = (kept sectors per layer) rows,
+below it.  A bare-basis sector uses boson-major order whenever S' < K;
+everything else is sector-major.
 
 Both matrices commute with the parity operator, which acts on the working
 basis as (n, k) -> (-n, k) with amplitude (-1)^k.  The spin part of the
@@ -61,6 +63,43 @@ __all__ = [
 DEFAULT_DIM_CAP = 400_000
 # the displaced-basis band drops a kernel tail whose norm bound is <= this * max(|diag|, 1)
 _DROP_LEVEL = np.finfo(float).eps
+
+
+def _bare_entries(h: "BlockHamiltonian | ProjectedHamiltonian") -> tuple[np.ndarray, np.ndarray]:
+    """The bare-basis band of an assembled matrix (2K rows) or of a parity
+    sector (``bandwidth`` deep): flat positions in Fortran order, and values.
+
+    The diagonal, boson hopping and spin coupling of sectors first.. (all, or
+    a sector's upper ones) sit at their states' coordinates: the identity, or
+    the inverse of the sector's parity map.  A sector adds its centre states
+    (even N: their diagonal, and sqrt(2) * spin_coup to sector ``first``) or
+    the fold (odd N: the mirror coupling on sector ``first``'s diagonal)."""
+    full = getattr(h, "full", h)
+    S, K = full.s_dim, full.k_dim
+    first, rows = (0, 2 * K) if h is full else ((S + 1) // 2, h.bandwidth + 1)
+    inv = np.arange(full.dim)
+    if h is not full:
+        inv[h._up] = np.arange(h.dim)  # every upper state is a coordinate
+    P = inv[first * K:].reshape(-1, K)
+    diag = full.diag[first:].copy()
+    hop = full.boson_amp[first:, np.newaxis] * np.sqrt(np.arange(1, K))
+    coup = np.broadcast_to(full.spin_coup[first:, np.newaxis], P[1:].shape)
+    a, b, values = [P, P[:, 1:], P[1:]], [P, P[:, :-1], P[:-1]], [diag, hop, coup]
+    if h is not full and S % 2:
+        c = np.nonzero(h._sgn == 0.0)[0]
+        a, b = a + [c, c], b + [c, inv[h._up[c] + K]]
+        values += [full.diag.flat[h._up[c]],
+                   np.full(len(c), math.sqrt(2.0) * full.spin_coup[first - 1])]
+    elif h is not full:
+        diag[0] += h._sgn[P[0]] * full.spin_coup[first - 1]
+    a, b = (np.concatenate([x.ravel() for x in xs]) for xs in (a, b))
+    return np.minimum(a, b) * rows + np.abs(a - b), np.concatenate([v.ravel() for v in values])
+
+
+def _scatter_band(ab: np.ndarray, entries: tuple[np.ndarray, np.ndarray]):
+    """Zero the lower band ``ab`` (Fortran order) and place ``entries``."""
+    ab.fill(0.0)
+    ab.T.reshape(-1)[entries[0]] = entries[1]
 
 
 @dataclass
@@ -131,27 +170,25 @@ class BlockHamiltonian:
         2K rows the kernel blocks can reach.  Given ``out``, a band of that
         shape in Fortran order, it rewrites every entry of it instead."""
         ab = np.empty((2 * self.k_dim, self.dim), order="F") if out is None else out
-        _fill_sectors(self, ab, first=0, offset=0)
+        if self.basis == "dcs":
+            _fill_sectors(self, ab, first=0, offset=0)
+        else:
+            _scatter_band(ab, self._bare)
         return ab
+
+    _bare = cached_property(_bare_entries)
 
     @cached_property
     def _pattern(self) -> np.ndarray:
-        """Band column b of a sector coupled with weight 1 to the next: row
-        K + a - b holds the coupling block's entry (b, a).  The other rows hold
-        -0.0, which the negative couplings scale to the +0.0 of a zeroed band."""
+        """Band column b of a displaced-basis sector coupled with weight 1 to
+        the next: row K + a - b holds the kernel entry (b, a).  The other rows
+        hold -0.0, which the negative couplings scale to the +0.0 of a zeroed
+        band."""
         K = self.k_dim
         pattern = np.full((K, 2 * K), -0.0)
-        if self.basis == "dcs":
-            b = np.arange(K)[:, np.newaxis]
-            pattern[b, K - b + np.arange(K)] = self.kernel_up
-        else:
-            pattern[:, K] = 1.0
+        b = np.arange(K)[:, np.newaxis]
+        pattern[b, K - b + np.arange(K)] = self.kernel_up
         return pattern
-
-    @cached_property
-    def _hop(self) -> np.ndarray:
-        """Bare-basis boson hopping (k, k + 1) of each sector, as an (S, K - 1) table."""
-        return self.boson_amp[:, np.newaxis] * np.sqrt(np.arange(1, self.k_dim))
 
 
 def _check_dim(params: ModelParams, n_tr: int, max_dim: int | None):
@@ -166,13 +203,13 @@ def _check_dim(params: ModelParams, n_tr: int, max_dim: int | None):
 
 
 def _fill_sectors(h: BlockHamiltonian, ab: np.ndarray, first: int, offset: int):
-    """Write sectors first, first + 1, ... of ``h`` into every row of the
-    lower band ``ab``'s columns from ``offset`` on, the block of sector
-    ``first`` starting at row and column ``offset``.
+    """Write displaced-basis sectors first, first + 1, ... of ``h`` into every
+    row of the lower band ``ab``'s columns from ``offset`` on, the block of
+    sector ``first`` starting at row and column ``offset``.
 
     Column (t, b) is spin_coup[first + t] * ``_pattern``[b] (zero past the
-    last sector), with the diagonal on row 0 and, in the bare basis, the
-    boson hopping on row 1: one pass over the columns, no loop."""
+    last sector), with the diagonal on row 0: one pass over the columns, no
+    loop."""
     K, rows = h.k_dim, ab.shape[0]
     blocks = ab.T[offset:].reshape(-1, K, rows)  # a view: blocks[t, b] is column (t, b)
     m = len(blocks)
@@ -180,8 +217,6 @@ def _fill_sectors(h: BlockHamiltonian, ab: np.ndarray, first: int, offset: int):
     np.multiply(coup[:, np.newaxis, np.newaxis], h._pattern[:, :rows], out=blocks[: len(coup)])
     blocks[len(coup):] = 0.0
     blocks[:, :, 0] = h.diag[first: first + m]
-    if h.basis == "dfs":
-        blocks[:, :-1, 1] = h._hop[first: first + m]
 
 
 def gershgorin(ab: np.ndarray) -> tuple[float, float]:
@@ -259,14 +294,13 @@ class ProjectedHamiltonian:
     the sector sign.  Matvec round-trips through the full operator, which is
     exact because the full matrix commutes with the parity.
 
-    Coordinates are sector-major (the kept centre states, then the upper
-    sectors, K = n_tr + 1 states each) unless ``boson_major``: a bare-basis
-    sector whose layer width S' (upper sectors, plus one with a centre) is
-    below K orders them by boson number k, each layer holding the centre
-    state when (-1)^k matches the sector sign, then the upper sectors.  Its
-    spin coupling then lies on band row 1 and its hopping on row S' or
-    S' - 1, so the band is S' wide instead of K.  ``expand``, ``restrict``,
-    ``matvec`` and ``band`` all use the chosen order.
+    One parity map, built here and read by ``expand``, ``restrict`` and
+    ``band``, lists each coordinate's upper (or centre) state ``_up`` and its
+    mirror ``_mirror`` as full flat indices, the mirror's sign ``_sgn`` =
+    sign * (-1)^k (0 for a centre state) and the divisor ``_div`` (sqrt(2),
+    or 1 for a centre state).  It is built sector-major and sorted layer by
+    layer in k when ``boson_major`` (a bare-basis sector whose layer width S'
+    is below K; see the module docstring): that sort alone decides the order.
     """
 
     def __init__(self, full: BlockHamiltonian, sector: str):
@@ -277,27 +311,22 @@ class ProjectedHamiltonian:
         self.dropped = full.dropped  # the band keeps K + w rows (``full.bandwidth``)
         self.sign = 1.0 if sector == "even" else -1.0
         S, K = full.s_dim, full.k_dim
-        self._has_center = S % 2 == 1
-        self._center = (S - 1) // 2 if self._has_center else None
-        self._upper = list(range(S // 2 + (1 if self._has_center else 0), S))
-        if self._has_center:
-            k_parity = np.arange(K) % 2
-            want = 0 if sector == "even" else 1
-            self._center_keep = np.nonzero(k_parity == want)[0]
-        else:
-            self._center_keep = np.empty(0, dtype=int)
-        nc, m = len(self._center_keep), len(self._upper)
-        self.dim = m * K + nc
-        self._ksigns = np.where(np.arange(K) % 2, -1.0, 1.0)
-        self._layer = m + int(self._has_center)
+        self._layer = i0 = (S + 1) // 2  # S', and the first upper sector
+        k = np.arange(K)
+        ksign = np.where(k % 2, -self.sign, self.sign)
+        centre = k[ksign > 0] if S % 2 else k[:0]
+        sec = np.concatenate([np.full(len(centre), S // 2), np.repeat(np.arange(i0, S), K)])
+        kk = np.concatenate([centre, np.tile(k, S - i0)])
         self.boson_major = full.basis == "dfs" and self._layer < K
-        self._order = None
         if self.boson_major:
-            # sector-major index of each boson-major coordinate, layer by layer
-            idx = np.full((K, m + 1), -1)
-            idx[self._center_keep, 0] = np.arange(nc)
-            idx[:, 1:] = nc + np.arange(m) * K + np.arange(K)[:, np.newaxis]
-            self._order = idx[idx >= 0]
+            order = np.lexsort((sec, kk))
+            sec, kk = sec[order], kk[order]
+        at_centre = 2 * sec == S - 1
+        self._up = sec * K + kk
+        self._mirror = (S - 1 - sec) * K + kk
+        self._sgn = np.where(at_centre, 0.0, ksign[kk])
+        self._div = np.where(at_centre, 1.0, math.sqrt(2.0))
+        self.dim = len(kk)
 
     @property
     def params(self):
@@ -318,32 +347,15 @@ class ProjectedHamiltonian:
 
     def expand(self, u: np.ndarray) -> np.ndarray:
         """Isometry from sector coordinates to the full flat basis."""
-        S, K = self.full.s_dim, self.full.k_dim
-        if self._order is not None:
-            v = np.empty(self.dim)
-            v[self._order] = u
-            u = v
-        i0 = self._upper[0]
-        X = np.empty((S, K))
-        nc = len(self._center_keep)
-        if self._has_center:
-            X[self._center] = 0.0
-            X[self._center, self._center_keep] = u[:nc]
-        U = u[nc:].reshape(S - i0, K) / math.sqrt(2.0)
-        X[i0:] = U
-        X[: S - i0] = self.sign * self._ksigns * U[::-1]
-        return X.reshape(-1)
+        x = np.zeros(self.full.dim)
+        u = u / self._div
+        x[self._mirror] = self._sgn * u
+        x[self._up] = u  # after the mirror: a centre state is its own mirror
+        return x
 
     def restrict(self, x: np.ndarray) -> np.ndarray:
         """Adjoint of expand."""
-        S, K = self.full.s_dim, self.full.k_dim
-        i0 = self._upper[0]
-        X = x.reshape(S, K)
-        upper = (X[i0:] + self.sign * self._ksigns * X[: S - i0][::-1]) / math.sqrt(2.0)
-        u = upper.ravel()
-        if self._has_center:
-            u = np.concatenate([X[self._center, self._center_keep], u])
-        return u if self._order is None else u[self._order]
+        return (x[self._up] + self._sgn * x[self._mirror]) / self._div
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
         return self.restrict(self.full.matvec(self.expand(u)))
@@ -360,65 +372,39 @@ class ProjectedHamiltonian:
         kept diagonal block as sign * B^T * (-1)^k'.
         """
         ab = np.empty((self.bandwidth + 1, self.dim), order="F") if out is None else out
-        if self.boson_major:
-            ab.fill(0.0)
-            idx, values = self._scatter
-            ab.T.reshape(-1)[idx] = values
+        if self.basis == "dfs":
+            _scatter_band(ab, self._bare)
             return ab
-        _fill_sectors(self.full, ab, first=self._upper[0], offset=len(self._center_keep))
         head = self._head
+        _fill_sectors(self.full, ab, first=self._layer, offset=head.shape[1] - self.full.k_dim)
         ab[:, : head.shape[1]] = head
         return ab
 
+    _bare = cached_property(_bare_entries)
+
     @cached_property
     def _head(self) -> np.ndarray:
-        """The sector-major band's first nc + K columns: the centre states (even
-        N) or the fold (odd N) on top of the first kept sector."""
+        """The displaced-basis band's first nc + K columns: the nc kept centre
+        states (even N) or the fold (odd N) on top of the first upper sector."""
         full = self.full
-        K, nc, i0 = full.k_dim, len(self._center_keep), self._upper[0]
+        K, i0 = full.k_dim, self._layer
+        keep = self._up[self._sgn == 0.0] % K
+        nc = len(keep)
         ab = np.zeros((full.bandwidth + 1, nc + K), order="F")
         _fill_sectors(full, ab, first=i0, offset=nc)
         B = full.offdiag_block(i0 - 1)
-        if self._has_center:
-            # the centre block is diagonal: boson hopping vanishes at n = 0
-            ab[0, :nc] = full.diag[self._center, self._center_keep]
-            for c, k in enumerate(self._center_keep):
-                # past the band's edge B vanishes (bare basis) or is dropped
+        if full.s_dim % 2:
+            # the centre block is diagonal, like every displaced-basis diagonal block
+            ab[0, :nc] = full.diag[i0 - 1, keep]
+            for c, k in enumerate(keep):
+                # past the band's edge B is dropped
                 top = min(K, ab.shape[0] - nc + c)
                 ab[nc - c: nc - c + top, c] = math.sqrt(2.0) * B[k, :top]
         else:
-            fold = self.sign * B.T * self._ksigns
+            fold = B.T * self._sgn[:K]
             for b in range(K):
                 ab[: K - b, b] += fold[b:, b]
         return ab
-
-    @cached_property
-    def _scatter(self) -> tuple[np.ndarray, np.ndarray]:
-        """The boson-major band's entries, with the same values as the
-        sector-major one: their flat positions in Fortran order, and values."""
-        full = self.full
-        K, nc, i0 = full.k_dim, len(self._center_keep), self._upper[0]
-        rows = self.bandwidth + 1
-        pos = np.empty(self.dim, dtype=int)
-        pos[self._order] = np.arange(self.dim)
-        P = pos[nc:].reshape(-1, K).T * rows  # P[k, t]: sector i0 + t, boson number k
-        diag = full.diag[i0:].T.copy()
-        # the same sector one layer up sits a layer width (S' or S' - 1) later
-        kept = np.zeros(K, dtype=bool)
-        kept[self._center_keep] = True
-        step = P.shape[1] + kept[1:, np.newaxis]
-        hop = full.boson_amp[i0:] * np.sqrt(np.arange(1, K))[:, np.newaxis]
-        coup = np.tile(full.spin_coup[i0:], K)
-        idx, values = [P, P[:, :-1] + 1, P[:-1] + step], [diag, coup, hop]
-        if self._has_center:
-            # the centre's own hopping amplitude is omega * g_0 = 0
-            idx += [pos[:nc] * rows, pos[:nc] * rows + 1]
-            values += [full.diag[self._center, self._center_keep],
-                       np.full(nc, math.sqrt(2.0) * full.spin_coup[self._center])]
-        else:
-            diag[:, 0] += self.sign * full.spin_coup[i0 - 1] * self._ksigns
-        return (np.concatenate([i.ravel() for i in idx]),
-                np.concatenate([v.ravel() for v in values]))
 
 
 def project_parity(h: BlockHamiltonian, sector: str) -> "BlockHamiltonian | ProjectedHamiltonian":

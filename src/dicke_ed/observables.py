@@ -122,9 +122,10 @@ class ConvergedResult:
     GroundState in schedule order, and the last one was accepted.
 
     ``tracked`` holds the accepted step's tracked observables, as the loop
-    computed them.  ``values`` holds every observable of ``ground``, computed
-    on first read, so a caller that needs only the energy never pays for the
-    spin moments.
+    computed them.  ``values`` holds every observable of ``ground``: the
+    loop's, when it tracked a spin observable, or else computed on first
+    read, so a caller that needs only the energy never pays for the spin
+    moments.
     """
 
     params: ModelParams
@@ -183,9 +184,12 @@ def converge(
     if not track or not set(track) <= set(OBSERVABLES):
         raise ConfigError(
             f"track must name one or more of {', '.join(OBSERVABLES)}; got {list(track)}")
+    if len(set(track)) < len(track):
+        raise ConfigError(f"track names an observable more than once, got {list(track)}")
     if len(schedule) < 2:
         raise ConfigError(f"the truncation schedule needs two or more entries to compare, "
                           f"got {list(schedule)}")
+    spin = bool(set(track) - {"e0"})
     history = []
     prev = None
     for n_tr in schedule:
@@ -193,10 +197,15 @@ def converge(
         # warm start: each sector's previous state, zero-padded to the new truncation
         v0 = [_padded(s, n_tr) for s in history[-1].sectors or history[-1:]] if history else None
         history.append(ground_state(h, tol=solver_tol, seed=seed, v0=v0))
-        vals = observable_set(history[-1], params, track)
+        # the spin moments give every observable at once: keep them all
+        vals = observable_set(history[-1], params, OBSERVABLES if spin else track)
         if prev is not None and all(
                 abs(vals[k] - prev[k]) / max(abs(vals[k]), 1e-12) < threshold for k in track):
-            return ConvergedResult(params=params, sector=sector, history=history, tracked=vals)
+            res = ConvergedResult(params=params, sector=sector, history=history,
+                                  tracked={k: vals[k] for k in track})
+            if spin:
+                res.values = vals  # what ``values`` would compute again
+            return res
         prev = vals
     raise ConvergenceError(
         f"schedule exhausted at n_tr={schedule[-1]} without reaching {threshold:g} "

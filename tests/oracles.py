@@ -213,6 +213,52 @@ def loop_band(h) -> np.ndarray:
     return band
 
 
+def parity_coordinates(h) -> list:
+    """(sector index, boson number) of each coordinate of a parity sector,
+    in order, as the ``ProjectedHamiltonian`` docstring lists them.
+
+    Sector-major: the kept centre states (even N; (-1)^k equal to the sector
+    sign), then each upper sector's K states.  Boson-major: layer by layer in
+    k, the centre state when kept, then the upper sectors."""
+    S, K = h.full.s_dim, h.full.k_dim
+    sign = 1 if h.sector == "even" else -1
+    kept = [k for k in range(K) if S % 2 and (-1) ** k == sign]
+    upper = range((S + 1) // 2, S)
+    if h.boson_major:
+        return [(i, k) for k in range(K) for i in ([S // 2] if k in kept else []) + list(upper)]
+    return [(S // 2, k) for k in kept] + [(i, k) for i in upper for k in range(K)]
+
+
+def parity_expand(h, u: np.ndarray) -> np.ndarray:
+    """Full flat vector of sector coordinates ``u``, one state at a time: a
+    centre coordinate is the bare state |0,k>, any other upper state |n,k>
+    is (|n,k> + sign (-1)^k |-n,k>)/sqrt(2)."""
+    S, K = h.full.s_dim, h.full.k_dim
+    sign = 1 if h.sector == "even" else -1
+    x = np.zeros(S * K)
+    for c, (i, k) in enumerate(parity_coordinates(h)):
+        if 2 * i == S - 1:
+            x[i * K + k] = u[c]
+        else:
+            x[i * K + k] = u[c] / math.sqrt(2.0)
+            x[(S - 1 - i) * K + k] = (sign * (-1) ** k) * (u[c] / math.sqrt(2.0))
+    return x
+
+
+def parity_restrict(h, x: np.ndarray) -> np.ndarray:
+    """Sector coordinates of a full flat vector, one coordinate at a time:
+    the adjoint of ``parity_expand``."""
+    S, K = h.full.s_dim, h.full.k_dim
+    sign = 1 if h.sector == "even" else -1
+    u = np.empty(h.dim)
+    for c, (i, k) in enumerate(parity_coordinates(h)):
+        if 2 * i == S - 1:
+            u[c] = x[i * K + k]
+        else:
+            u[c] = (x[i * K + k] + (sign * (-1) ** k) * x[(S - 1 - i) * K + k]) / math.sqrt(2.0)
+    return u
+
+
 def oracle_moments(n_atoms, omega, delta, lam, cutoff):
     """Ground-state spin moments from the dense matrix, even-parity resolved.
 

@@ -222,6 +222,17 @@ class TestSolve:
         assert code == 2 and out == ""
         assert "config error" in err and "e0, b_n, gamma, jy2, c_n" in err
 
+    def test_repeated_track_exits_2(self, tmp_path, capsys):
+        """A name tracked twice is the same work as tracked once, so it is
+        refused rather than stored under a digest of its own."""
+        code, out, err = run(
+            capsys, "solve", "--n-atoms", "4", "--lambda", "0.5",
+            "--track", "e0,e0", "--out-dir", str(tmp_path),
+        )
+        assert (code, out) == (2, "")
+        assert err == "config error: track names an observable more than once, got ['e0', 'e0']\n"
+        assert not list(tmp_path.iterdir())
+
     def test_dump_matrix(self, tmp_path, capsys):
         dump = tmp_path / "h.coo"
         code, _, _ = run(
@@ -578,6 +589,16 @@ class TestBadNumbersExit2:
         """NaN and infinity exit 2 and name the value, before any solve."""
         code, out, err = run(capsys, *argv.split(), "--workers", "1", "--out-dir", str(tmp_path))
         assert (code, out, err) == (2, "", f"config error: {NON_FINITE[argv]}\n")
+
+    @pytest.mark.parametrize("argv", [
+        "scaling --observable energy --D 1 --N 16..abc",
+        "scaling --observable energy --D 1 --N 16..2e3",
+        "converge --at-critical --N x..64",
+    ])
+    def test_size_range_bound_not_an_integer(self, tmp_path, capsys, argv):
+        """A size range whose bound is no integer exits 2 and names the range."""
+        code, out, err = run(capsys, *argv.split(), "--workers", "1", "--out-dir", str(tmp_path))
+        assert (code, out, err) == (2, "", f"config error: bad size range {argv.split()[-1]!r}\n")
 
     def test_negative_alpha(self, tmp_path, capsys):
         """--alpha reads like the other model numbers, not as a config key

@@ -24,7 +24,10 @@ from oracles import (
     ladder_coeff,
     norm_estimate,
     oracle_ground,
+    parity_coordinates,
+    parity_expand,
     parity_operator,
+    parity_restrict,
 )
 
 PARAM_GRID = [
@@ -240,6 +243,43 @@ class TestParity:
             x = hp.expand(u)
             assert np.linalg.norm(x) == pytest.approx(np.linalg.norm(u), rel=1e-13)
             assert np.allclose(hp.restrict(x), u, atol=1e-13)
+
+    @pytest.mark.parametrize("n_atoms", [*range(1, 10), 31, 32, 128])
+    def test_parity_map_matches_its_definition(self, n_atoms):
+        """``expand`` and ``restrict`` equal, byte for byte, the oracles built
+        one state at a time from the sector basis's definition, and the
+        matrix of ``restrict`` is the transpose of that of ``expand``.  The
+        map's upper and mirror indices cover every full state the projection
+        keeps exactly once.  Both bases, both sectors, and the bare basis on
+        both sides of the switch to boson-major order (S' < K)."""
+        p = ModelParams(n_atoms, 1.0, 0.8, 0.9)
+        S = n_atoms + 1
+        layer = S // 2 + S % 2
+        cases = [(assemble_dcs, n_tr) for n_tr in (0, 3, 6)]
+        cases += [(assemble_dfs, n_tr) for n_tr in (0, 3, 20, 100)]
+        rng = np.random.default_rng(n_atoms)
+        orders = set()
+        for assemble, n_tr in cases:
+            K = n_tr + 1
+            for sector in ("even", "odd"):
+                h = project_parity(assemble(p, n_tr), sector)
+                assert h.boson_major == (assemble is assemble_dfs and layer < K)
+                orders.add((h.basis, h.boson_major))
+                coords = parity_coordinates(h)
+                assert h.dim == len(coords)
+                u, x = rng.standard_normal(h.dim), rng.standard_normal(S * K)
+                assert h.expand(u).tobytes() == parity_expand(h, u).tobytes()
+                assert h.restrict(x).tobytes() == parity_restrict(h, x).tobytes()
+                if h.dim <= 400:
+                    E = np.column_stack([h.expand(e) for e in np.eye(h.dim)])
+                    R = np.column_stack([h.restrict(e) for e in np.eye(S * K)])
+                    assert np.array_equal(R, E.T)
+                sign = 1 if sector == "even" else -1
+                kept = [i * K + k for i in range(S) for k in range(K)
+                        if 2 * i != S - 1 or (-1) ** k == sign]
+                states = np.concatenate([h._up, h._mirror[h._mirror != h._up]])
+                assert np.array_equal(np.sort(states), kept)
+        assert ("dfs", True) in orders and ("dfs", False) in orders
 
     @pytest.mark.parametrize("n_atoms", [1, 2, 5, 6, 31, 32])
     def test_projected_band_matches_matvec(self, monkeypatch, n_atoms):

@@ -228,6 +228,25 @@ class TestConvergeDriver:
         assert res.values == full.values
         assert tuple(res.values) == OBSERVABLES
 
+    @pytest.mark.parametrize("track", [("e0", "jy2"), ("e0",)])
+    def test_accepted_step_moments_are_computed_once(self, monkeypatch, track):
+        """A tracked spin observable costs one evaluation of the moments per
+        step, and the CSV row reuses the accepted step's; with the energy
+        alone the row computes them once, on first read of ``values``."""
+        calls = []
+        real = observables.spin_expectations
+        monkeypatch.setattr(observables, "spin_expectations",
+                            lambda g, q: calls.append(g.n_tr) or real(g, q))
+        p = ModelParams(8, 1.0, 1.0, 0.6)
+        res = converge(p, threshold=1e-6, track=track)
+        in_loop = len(res.history) if "jy2" in track else 0
+        assert len(calls) == in_loop
+        assert tuple(res.tracked) == track
+        row = result_row(res)
+        assert len(calls) == max(in_loop, 1)
+        assert res.values == observable_set(res.ground, p)
+        assert row["Jy2"] == res.values["jy2"] and row["E0"] == res.ground.energy
+
     def test_observable_set_returns_exactly_its_keys(self, monkeypatch):
         p = ModelParams(8, 1.0, 1.0, 0.6)
         gs = solve_even(p, 8)
