@@ -65,6 +65,9 @@ def parse_float_list(text: str) -> list[float]:
     if not all(map(math.isfinite, values)):
         raise ConfigError(f"bad float list {text!r}: every number must be finite")
     if ":" not in text:
+        twice = [a for a, b in zip(sorted(values), sorted(values)[1:]) if a == b]
+        if twice:  # a repeat would be solved and stored twice
+            raise ConfigError(f"bad float list {text!r}: {twice[0]!r} appears more than once")
         return values
     if len(values) != 3:
         raise ConfigError(f"range must be start:stop:step, got {text!r}")
@@ -120,18 +123,16 @@ def parse_schedule(text: str) -> tuple:
 
 def parse_cases(text: str) -> list[tuple]:
     out = []
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
+    for item in filter(None, map(str.strip, text.split(","))):
         try:
             basis, ntr_s = item.split(":")
-            basis = basis.strip().lower()
-            ntr = int(ntr_s)
+            basis, ntr = basis.strip().lower(), int(ntr_s)
         except ValueError as exc:
             raise ConfigError(f"case must look like dcs:6 or dfs:100, got {item!r}") from exc
         if basis not in ("dcs", "dfs") or ntr < 0:
             raise ConfigError(f"bad case {item!r}")
+        if (basis, ntr) in out:  # a repeat would be solved and stored twice
+            raise ConfigError(f"case {basis}:{ntr} appears more than once in {text!r}")
         out.append((basis, ntr))
     if not out:
         raise ConfigError("empty case list")

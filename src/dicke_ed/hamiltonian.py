@@ -15,11 +15,15 @@ sector index:
 Both matrices hand over LAPACK lower band storage (``band()``), and the
 solver reads their parity projections the same way; matvec serves the
 residuals.  ``band(out)`` rewrites a given band from set-up cached on the
-operator, so the solver keeps one band per solve: the displaced basis in one
-pass over its sector columns, the bare basis (whole, or a sector in either
-order) as one scatter of its entries.  A displaced-basis sector's band keeps
-only the kernel off-diagonals above a drop level (``assemble_dcs``); matvec,
-the unprojected band and ``dump_coo`` keep every entry.
+operator, so the solver keeps one band per solve.  Each basis writes the
+body (the whole matrix, or a parity sector's upper sectors) with its own
+writer: the displaced basis in one pass over its sector columns, the bare
+basis (in either sector order) as one scatter of its entries.  A parity
+sector's head, the centre states of even N or the fold of odd N, is written
+once for both bases, through the parity map.  A displaced-basis sector's
+band keeps only the kernel off-diagonals above a drop level
+(``assemble_dcs``); matvec, the unprojected band and ``dump_coo`` keep every
+entry.
 
 A parity sector has two coordinate orders, and its one parity map picks one.
 Sector-major (the centre states, then each kept sector's K = n_tr + 1 boson
@@ -67,13 +71,12 @@ _DROP_LEVEL = np.finfo(float).eps
 
 def _bare_entries(h: "BlockHamiltonian | ProjectedHamiltonian") -> tuple[np.ndarray, np.ndarray]:
     """The bare-basis band of an assembled matrix (2K rows) or of a parity
-    sector (``bandwidth`` deep): flat positions in Fortran order, and values.
+    sector's upper sectors (``bandwidth`` deep): flat positions in Fortran
+    order, and values.
 
     The diagonal, boson hopping and spin coupling of sectors first.. (all, or
     a sector's upper ones) sit at their states' coordinates: the identity, or
-    the inverse of the sector's parity map.  A sector adds its centre states
-    (even N: their diagonal, and sqrt(2) * spin_coup to sector ``first``) or
-    the fold (odd N: the mirror coupling on sector ``first``'s diagonal)."""
+    the inverse of the sector's parity map."""
     full = getattr(h, "full", h)
     S, K = full.s_dim, full.k_dim
     first, rows = (0, 2 * K) if h is full else ((S + 1) // 2, h.bandwidth + 1)
@@ -81,19 +84,11 @@ def _bare_entries(h: "BlockHamiltonian | ProjectedHamiltonian") -> tuple[np.ndar
     if h is not full:
         inv[h._up] = np.arange(h.dim)  # every upper state is a coordinate
     P = inv[first * K:].reshape(-1, K)
-    diag = full.diag[first:].copy()
     hop = full.boson_amp[first:, np.newaxis] * np.sqrt(np.arange(1, K))
     coup = np.broadcast_to(full.spin_coup[first:, np.newaxis], P[1:].shape)
-    a, b, values = [P, P[:, 1:], P[1:]], [P, P[:, :-1], P[:-1]], [diag, hop, coup]
-    if h is not full and S % 2:
-        c = np.nonzero(h._sgn == 0.0)[0]
-        a, b = a + [c, c], b + [c, inv[h._up[c] + K]]
-        values += [full.diag.flat[h._up[c]],
-                   np.full(len(c), math.sqrt(2.0) * full.spin_coup[first - 1])]
-    elif h is not full:
-        diag[0] += h._sgn[P[0]] * full.spin_coup[first - 1]
-    a, b = (np.concatenate([x.ravel() for x in xs]) for xs in (a, b))
-    return np.minimum(a, b) * rows + np.abs(a - b), np.concatenate([v.ravel() for v in values])
+    a, b, values = [P, P[:, 1:], P[1:]], [P, P[:, :-1], P[:-1]], [full.diag[first:], hop, coup]
+    a, b, values = (np.concatenate([x.ravel() for x in xs]) for xs in (a, b, values))
+    return np.minimum(a, b) * rows + np.abs(a - b), values
 
 
 def _scatter_band(ab: np.ndarray, entries: tuple[np.ndarray, np.ndarray]):
@@ -151,12 +146,6 @@ class BlockHamiltonian:
             Y[:, :-1] += amp * lad * X[:, 1:]
             Y[:, 1:] += amp * lad * X[:, :-1]
         return Y.reshape(-1)
-
-    def offdiag_block(self, i: int) -> np.ndarray:
-        """Dense block coupling sector i to sector i+1 (row i, column i+1)."""
-        if self.basis == "dcs":
-            return self.spin_coup[i] * self.kernel_up
-        return self.spin_coup[i] * np.eye(self.k_dim)
 
     @property
     def bandwidth(self) -> int:
@@ -366,45 +355,53 @@ class ProjectedHamiltonian:
         order, it rewrites every entry of it instead, from set-up cached on
         first use.
 
-        Sectors above the centre keep their blocks.  With a centre sector
-        (even N) its retained states couple to the first kept sector with
-        weight sqrt(2); without one the mirror coupling folds into the first
-        kept diagonal block as sign * B^T * (-1)^k'.
+        The upper sectors' body is written by each basis's own writer, and
+        the head once for both, through the parity map (``_head``).
         """
         ab = np.empty((self.bandwidth + 1, self.dim), order="F") if out is None else out
         if self.basis == "dfs":
             _scatter_band(ab, self._bare)
-            return ab
-        head = self._head
-        _fill_sectors(self.full, ab, first=self._layer, offset=head.shape[1] - self.full.k_dim)
-        ab[:, : head.shape[1]] = head
+        else:
+            nc = self.dim - (self.full.s_dim - self._layer) * self.full.k_dim
+            ab[:, :nc] = 0.0
+            _fill_sectors(self.full, ab, first=self._layer, offset=nc)
+        at, values = self._head
+        flat = ab.T.reshape(-1)  # a view of ab
+        # centre entries go into zeroed columns (keeping -0.0); the fold adds
+        flat[at] = values if self.full.s_dim % 2 else flat[at] + values
         return ab
 
     _bare = cached_property(_bare_entries)
 
     @cached_property
-    def _head(self) -> np.ndarray:
-        """The displaced-basis band's first nc + K columns: the nc kept centre
-        states (even N) or the fold (odd N) on top of the first upper sector."""
+    def _head(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat band positions (Fortran order) and values of the sector's
+        head, with B = spin_coup[first - 1] times the kernel (displaced) or
+        the identity's nonzeros (bare) and P0 the first upper sector's
+        coordinates in k order.  Even N: each kept centre state's diagonal
+        (the centre sector's block is diagonal in both bases), and
+        sqrt(2) * B[k, l] to P0[l].  Odd N: the mirror coupling folded
+        into that sector's block, B^T * sign * (-1)^k' on its lower triangle.
+        Entries past the band's edge are dropped."""
         full = self.full
-        K, i0 = full.k_dim, self._layer
-        keep = self._up[self._sgn == 0.0] % K
-        nc = len(keep)
-        ab = np.zeros((full.bandwidth + 1, nc + K), order="F")
-        _fill_sectors(full, ab, first=i0, offset=nc)
-        B = full.offdiag_block(i0 - 1)
+        K, i0, rows = full.k_dim, self._layer, self.bandwidth + 1
+        inv = np.full(full.dim, -1)  # -1: no coordinate
+        inv[self._up] = np.arange(self.dim)
+        centre, P0 = inv[(i0 - 1) * K: (i0 + 1) * K].reshape(2, K)
+        dcs = self.basis == "dcs"
+        k, l = np.divmod(np.arange(K * K), K) if dcs else (np.arange(K),) * 2
+        B = full.spin_coup[i0 - 1] * (full.kernel_up.ravel() if dcs else np.ones(K))
         if full.s_dim % 2:
-            # the centre block is diagonal, like every displaced-basis diagonal block
-            ab[0, :nc] = full.diag[i0 - 1, keep]
-            for c, k in enumerate(keep):
-                # past the band's edge B is dropped
-                top = min(K, ab.shape[0] - nc + c)
-                ab[nc - c: nc - c + top, c] = math.sqrt(2.0) * B[k, :top]
+            kept, kc = centre[k] >= 0, np.flatnonzero(centre >= 0)
+            a = np.concatenate([centre[kc], P0[l[kept]]])
+            b = np.concatenate([centre[kc], centre[k[kept]]])
+            values = np.concatenate([full.diag[i0 - 1, kc], math.sqrt(2.0) * B[kept]])
         else:
-            fold = B.T * self._sgn[:K]
-            for b in range(K):
-                ab[: K - b, b] += fold[b:, b]
-        return ab
+            lower = l >= k
+            a, b = P0[l[lower]], P0[k[lower]]
+            values = B[lower] * self._sgn[b]
+        at, inside = np.minimum(a, b) * rows + np.abs(a - b), np.abs(a - b) < rows
+        return at[inside], values[inside]
 
 
 def project_parity(h: BlockHamiltonian, sector: str) -> "BlockHamiltonian | ProjectedHamiltonian":

@@ -122,14 +122,15 @@ def dense(h) -> np.ndarray:
     """Dense symmetric matrix of an assembled matrix, a parity sector, or a
     lower band array.
 
-    An assembled matrix unpacks its band, which holds all 2K rows the kernel
-    blocks reach.  A sector is E^T H E, with E stacking ``h.expand`` over the
-    identity, so it does not go through the projected band builder.
+    An assembled matrix unpacks its loop-built band (``loop_band``), which
+    holds all 2K rows the kernel blocks reach.  A sector is E^T H E, with E
+    stacking ``h.expand`` over the identity, so no band writer of the package
+    enters it.
     """
     if hasattr(h, "expand"):
         E = np.column_stack([h.expand(e) for e in np.eye(h.dim)])
         return E.T @ dense(h.full) @ E
-    ab = h if isinstance(h, np.ndarray) else h.band()
+    ab = h if isinstance(h, np.ndarray) else loop_band(h)
     n = ab.shape[1]
     H = np.zeros((n, n))
     for d in range(min(ab.shape[0], n)):
@@ -190,7 +191,7 @@ def loop_band(h) -> np.ndarray:
     nc, i0 = len(keep), (S + 1) // 2
     ab = np.zeros((full.bandwidth + 1, h.dim), order="F")
     _loop_fill_sectors(full, ab, i0, nc)
-    B = full.offdiag_block(i0 - 1)
+    B = full.spin_coup[i0 - 1] * (np.eye(K) if full.kernel_up is None else full.kernel_up)
     if S % 2:
         ab[0, :nc] = full.diag[S // 2, keep]
         for c, k in enumerate(keep):
@@ -580,6 +581,7 @@ def parity_operator(n_atoms: int, n_tr: int) -> ParityOperator:
 
 def norm_estimate(h) -> float:
     """Gershgorin upper bound on the spectral radius of an assembled matrix;
-    for a parity sector, that of the whole matrix, which bounds it too."""
-    lowest, highest = gershgorin(getattr(h, "full", h).band())
+    for a parity sector, that of the whole matrix, which bounds it too.  The
+    band is loop-built (``loop_band``), not the package's."""
+    lowest, highest = gershgorin(loop_band(getattr(h, "full", h)))
     return max(-lowest, highest)

@@ -449,6 +449,16 @@ NON_FINITE = {
         "--c-inf must be 'fit' or a finite number, got 'inf'",
 }
 
+# argv -> the message of its exit 2: a repeated value would be solved and stored twice
+REPEATED = {
+    "compare --n-atoms 4 --lambdas 0.5,0.5 --cases dcs:4":
+        "bad float list '0.5,0.5': 0.5 appears more than once",
+    "compare --n-atoms 4 --lambdas 0.5 --cases dcs:4,DCS:4":
+        "case dcs:4 appears more than once in 'dcs:4,DCS:4'",
+    "scaling --observable energy --D 1,1 --N 4..32":
+        "bad float list '1,1': 1.0 appears more than once",
+}
+
 
 def _refuse(*args, **kwargs):
     raise AssertionError("a solve started")
@@ -589,6 +599,14 @@ class TestBadNumbersExit2:
         """NaN and infinity exit 2 and name the value, before any solve."""
         code, out, err = run(capsys, *argv.split(), "--workers", "1", "--out-dir", str(tmp_path))
         assert (code, out, err) == (2, "", f"config error: {NON_FINITE[argv]}\n")
+
+    @pytest.mark.parametrize("argv", list(REPEATED))
+    def test_repeated_value(self, tmp_path, capsys, argv):
+        """A coupling, ratio or case given twice exits 2 and names it, before
+        any solve and without a store entry."""
+        code, out, err = run(capsys, *argv.split(), "--workers", "1", "--out-dir", str(tmp_path))
+        assert (code, out, err) == (2, "", f"config error: {REPEATED[argv]}\n")
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [
         "scaling --observable energy --D 1 --N 16..abc",

@@ -305,6 +305,8 @@ class TestOneBand:
     @pytest.mark.parametrize("n_atoms,lam,basis,n_tr,sector,delta", [
         # trimmed displaced-basis bands (w < K - 1), centre (even N) and fold (odd N)
         *[(n, LAM_C10, "dcs", 48, s, 10.0) for n in (16, 17) for s in ("even", "odd")],
+        # the centre coupling cut at the band's edge: K = 49, w = 23 < nc - 1 = 24
+        (32, 1.0, "dcs", 48, "even", 1.0),
         # bare basis: sector-major (S' >= K), then boson-major (S' < K)
         (32, 0.7, "dfs", 4, "even", 1.0),
         (31, 0.7, "dfs", 4, "odd", 1.0),

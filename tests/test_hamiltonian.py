@@ -79,7 +79,7 @@ class TestAssembly:
         h = assemble_dcs(p, 5)
         for i in range(p.n_atoms):
             expected = h.spin_coup[i] * np.eye(6)
-            assert np.allclose(h.offdiag_block(i), expected, atol=1e-15)
+            assert np.allclose(h.spin_coup[i] * h.kernel_up, expected, atol=1e-15)
         gs = ground_state(h)
         assert gs.energy == pytest.approx(-p.j * p.delta, abs=1e-10)
         gd = ground_state(assemble_dfs(p, 5))
