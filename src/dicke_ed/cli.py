@@ -56,7 +56,9 @@ def csv_text(columns, rows) -> str:
 
 
 def parse_float_list(text: str) -> list[float]:
-    """Comma list '0.1,1,10' or inclusive range 'a:b:step' of finite numbers."""
+    """Comma list '0.1,1,10' or inclusive range 'a:b:step' of finite numbers,
+    no two of which print alike (``_fmt``): both would be solved and stored,
+    and print the same row."""
     text = text.strip()
     try:
         values = [float(p) for p in text.split(":" if ":" in text else ",") if p.strip()]
@@ -64,24 +66,29 @@ def parse_float_list(text: str) -> list[float]:
         raise ConfigError(f"bad float list {text!r}") from exc
     if not all(map(math.isfinite, values)):
         raise ConfigError(f"bad float list {text!r}: every number must be finite")
-    if ":" not in text:
-        twice = [a for a, b in zip(sorted(values), sorted(values)[1:]) if a == b]
-        if twice:  # a repeat would be solved and stored twice
-            raise ConfigError(f"bad float list {text!r}: {twice[0]!r} appears more than once")
-        return values
-    if len(values) != 3:
-        raise ConfigError(f"range must be start:stop:step, got {text!r}")
-    start, stop, step = values
-    count = (stop - start) / step if step > 0 and stop >= start else math.inf
-    if not math.isfinite(count):
-        raise ConfigError(f"bad range {text!r}")
-    points = round(count) + 1  # refused before the list is built
-    if points > MAX_GRID_POINTS:
-        raise ConfigError(f"range {text!r} has {points:,} points; at most {MAX_GRID_POINTS:,}")
-    grid = [start + i * step for i in range(points)]
-    if grid[-1] > stop + 1e-12:
-        grid.pop()
-    return grid
+    if ":" in text:
+        if len(values) != 3:
+            raise ConfigError(f"range must be start:stop:step, got {text!r}")
+        start, stop, step = values
+        count = (stop - start) / step if step > 0 and stop >= start else math.inf
+        if not math.isfinite(count):
+            raise ConfigError(f"bad range {text!r}")
+        points = round(count) + 1  # refused before the list is built
+        if points > MAX_GRID_POINTS:
+            raise ConfigError(f"range {text!r} has {points:,} points; at most {MAX_GRID_POINTS:,}")
+        values = [start + i * step for i in range(points)]
+        if values[-1] > stop + 1e-12:
+            values.pop()
+    seen = {}
+    for v in values:
+        key = float(_fmt(v))  # -0.0 and 0.0 are one key
+        if key in seen:
+            u = seen[key]
+            why = (f"{v!r} appears more than once" if u == v
+                   else f"{u!r} and {v!r} both print as {_fmt(v)}")
+            raise ConfigError(f"bad float list {text!r}: {why}")
+        seen[key] = v
+    return values
 
 
 def parse_n_list(text: str) -> list[int]:

@@ -112,7 +112,8 @@ def _canonical_sign(vec: np.ndarray) -> np.ndarray:
 
 
 class ShiftTest:
-    """Positive-definiteness tests of H - sigma*I on the one band of ``h``.
+    """Positive-definiteness tests of H - sigma*I on the one band of the
+    parity sector ``h``.
 
     The first test factors the freshly built band; each later one rewrites
     that same array from ``h`` first, so no second band-sized array exists.

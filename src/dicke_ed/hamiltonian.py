@@ -12,18 +12,17 @@ sector index:
   times the identity, plus a boson hopping term omega*g_n*sqrt(l+1) inside
   each sector (tridiagonal in l).
 
-Both matrices hand over LAPACK lower band storage (``band()``), and the
-solver reads their parity projections the same way; matvec serves the
-residuals.  ``band(out)`` rewrites a given band from set-up cached on the
-operator, so the solver keeps one band per solve.  Each basis writes the
-body (the whole matrix, or a parity sector's upper sectors) with its own
-writer: the displaced basis in one pass over its sector columns, the bare
-basis (in either sector order) as one scatter of its entries.  A parity
+Only a parity sector hands over LAPACK lower band storage (``band()``), and
+the solver factors nothing else; matvec serves the residuals.  ``band(out)``
+rewrites a given band from set-up cached on the operator, so the solver
+keeps one band per solve.  Each basis writes a sector's upper sectors with
+its own writer: the displaced basis in one pass over its sector columns, the
+bare basis (in either sector order) as one scatter of its entries.  A parity
 sector's head, the centre states of even N or the fold of odd N, is written
 once for both bases, through the parity map.  A displaced-basis sector's
 band keeps only the kernel off-diagonals above a drop level
-(``assemble_dcs``); matvec, the unprojected band and ``dump_coo`` keep every
-entry.
+(``assemble_dcs``); matvec and ``dump_coo`` (the whole displaced-basis
+matrix) keep every entry.
 
 A parity sector has two coordinate orders, and its one parity map picks one.
 Sector-major (the centre states, then each kept sector's K = n_tr + 1 boson
@@ -69,32 +68,22 @@ DEFAULT_DIM_CAP = 400_000
 _DROP_LEVEL = np.finfo(float).eps
 
 
-def _bare_entries(h: "BlockHamiltonian | ProjectedHamiltonian") -> tuple[np.ndarray, np.ndarray]:
-    """The bare-basis band of an assembled matrix (2K rows) or of a parity
-    sector's upper sectors (``bandwidth`` deep): flat positions in Fortran
-    order, and values.
+def _bare_entries(h: "ProjectedHamiltonian") -> tuple[np.ndarray, np.ndarray]:
+    """The bare-basis band of a parity sector's upper sectors, ``bandwidth``
+    deep: flat positions in Fortran order, and values.
 
-    The diagonal, boson hopping and spin coupling of sectors first.. (all, or
-    a sector's upper ones) sit at their states' coordinates: the identity, or
-    the inverse of the sector's parity map."""
-    full = getattr(h, "full", h)
-    S, K = full.s_dim, full.k_dim
-    first, rows = (0, 2 * K) if h is full else ((S + 1) // 2, h.bandwidth + 1)
-    inv = np.arange(full.dim)
-    if h is not full:
-        inv[h._up] = np.arange(h.dim)  # every upper state is a coordinate
+    The diagonal, boson hopping and spin coupling of the upper sectors sit at
+    their states' coordinates, the inverse of the sector's parity map."""
+    full = h.full
+    K, first, rows = full.k_dim, h._layer, h.bandwidth + 1
+    inv = np.empty(full.dim, dtype=np.intp)
+    inv[h._up] = np.arange(h.dim)  # every upper state is a coordinate
     P = inv[first * K:].reshape(-1, K)
     hop = full.boson_amp[first:, np.newaxis] * np.sqrt(np.arange(1, K))
     coup = np.broadcast_to(full.spin_coup[first:, np.newaxis], P[1:].shape)
     a, b, values = [P, P[:, 1:], P[1:]], [P, P[:, :-1], P[:-1]], [full.diag[first:], hop, coup]
     a, b, values = (np.concatenate([x.ravel() for x in xs]) for xs in (a, b, values))
     return np.minimum(a, b) * rows + np.abs(a - b), values
-
-
-def _scatter_band(ab: np.ndarray, entries: tuple[np.ndarray, np.ndarray]):
-    """Zero the lower band ``ab`` (Fortran order) and place ``entries``."""
-    ab.fill(0.0)
-    ab.T.reshape(-1)[entries[0]] = entries[1]
 
 
 @dataclass
@@ -154,25 +143,12 @@ class BlockHamiltonian:
         the bare basis's identity."""
         return self.k_dim + self.kernel_width
 
-    def band(self, out: np.ndarray | None = None) -> np.ndarray:
-        """The whole matrix in LAPACK lower band storage (Fortran order): all
-        2K rows the kernel blocks can reach.  Given ``out``, a band of that
-        shape in Fortran order, it rewrites every entry of it instead."""
-        ab = np.empty((2 * self.k_dim, self.dim), order="F") if out is None else out
-        if self.basis == "dcs":
-            _fill_sectors(self, ab, first=0, offset=0)
-        else:
-            _scatter_band(ab, self._bare)
-        return ab
-
-    _bare = cached_property(_bare_entries)
-
     @cached_property
     def _pattern(self) -> np.ndarray:
         """Band column b of a displaced-basis sector coupled with weight 1 to
         the next: row K + a - b holds the kernel entry (b, a).  The other rows
         hold -0.0, which the negative couplings scale to the +0.0 of a zeroed
-        band."""
+        band.  All 2K rows: ``dump_coo`` reads every one."""
         K = self.k_dim
         pattern = np.full((K, 2 * K), -0.0)
         b = np.arange(K)[:, np.newaxis]
@@ -359,14 +335,15 @@ class ProjectedHamiltonian:
         the head once for both, through the parity map (``_head``).
         """
         ab = np.empty((self.bandwidth + 1, self.dim), order="F") if out is None else out
+        flat = ab.T.reshape(-1)  # a view of ab
         if self.basis == "dfs":
-            _scatter_band(ab, self._bare)
+            ab.fill(0.0)
+            flat[self._bare[0]] = self._bare[1]
         else:
             nc = self.dim - (self.full.s_dim - self._layer) * self.full.k_dim
             ab[:, :nc] = 0.0
             _fill_sectors(self.full, ab, first=self._layer, offset=nc)
         at, values = self._head
-        flat = ab.T.reshape(-1)  # a view of ab
         # centre entries go into zeroed columns (keeping -0.0); the fold adds
         flat[at] = values if self.full.s_dim % 2 else flat[at] + values
         return ab
@@ -411,11 +388,15 @@ def project_parity(h: BlockHamiltonian, sector: str) -> "BlockHamiltonian | Proj
 
 
 def dump_coo(h: BlockHamiltonian, fileobj) -> int:
-    """Write the matrix as `row col value` lines (flat sector-major order).
+    """Write a displaced-basis matrix as `row col value` lines (flat
+    sector-major order), every kernel entry of its 2K band rows.
 
     Returns the number of lines written.  Debug aid; both triangles emitted.
     """
-    ab = h.band()
+    if h.basis != "dcs":
+        raise ValueError(f"dump_coo writes only the displaced basis ('dcs'), got {h.basis!r}")
+    ab = np.empty((2 * h.k_dim, h.dim), order="F")
+    _fill_sectors(h, ab, first=0, offset=0)
     count = 0
     for d in range(ab.shape[0]):
         for c in np.nonzero(ab[d])[0]:

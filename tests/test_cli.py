@@ -449,7 +449,8 @@ NON_FINITE = {
         "--c-inf must be 'fit' or a finite number, got 'inf'",
 }
 
-# argv -> the message of its exit 2: a repeated value would be solved and stored twice
+# argv -> the message of its exit 2: a repeated value, or two that print alike
+# to 12 significant digits, would be solved and stored twice
 REPEATED = {
     "compare --n-atoms 4 --lambdas 0.5,0.5 --cases dcs:4":
         "bad float list '0.5,0.5': 0.5 appears more than once",
@@ -457,6 +458,14 @@ REPEATED = {
         "case dcs:4 appears more than once in 'dcs:4,DCS:4'",
     "scaling --observable energy --D 1,1 --N 4..32":
         "bad float list '1,1': 1.0 appears more than once",
+    "compare --n-atoms 4 --lambdas 0.5,0.5000000000000001 --cases dcs:4":
+        "bad float list '0.5,0.5000000000000001': 0.5 and 0.5000000000000001 both print as 0.5",
+    "scaling --observable energy --D 1,1.0000000000001 --N 4..32":
+        "bad float list '1,1.0000000000001': 1.0 and 1.0000000000001 both print as 1",
+    # 11 points, all printed as 1
+    "compare --n-atoms 4 --lambdas 1:1.0000000000001:0.00000000000001 --cases dcs:4":
+        "bad float list '1:1.0000000000001:0.00000000000001': "
+        "1.0 and 1.00000000000001 both print as 1",
 }
 
 
@@ -602,8 +611,9 @@ class TestBadNumbersExit2:
 
     @pytest.mark.parametrize("argv", list(REPEATED))
     def test_repeated_value(self, tmp_path, capsys, argv):
-        """A coupling, ratio or case given twice exits 2 and names it, before
-        any solve and without a store entry."""
+        """A coupling, ratio or case given twice, or two couplings or ratios
+        that print alike, exit 2 and name them, before any solve and without
+        a store entry."""
         code, out, err = run(capsys, *argv.split(), "--workers", "1", "--out-dir", str(tmp_path))
         assert (code, out, err) == (2, "", f"config error: {REPEATED[argv]}\n")
         assert not list(tmp_path.iterdir())

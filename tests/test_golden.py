@@ -4,7 +4,8 @@ The files under ``tests/golden/`` were captured from ``dicke-ed`` runs with
 ``--workers 1`` into an empty store.  Each case pins its stdout
 (``<case>.csv``); a ``converge`` or ``scaling`` case also pins its stderr
 summary (``<case>.stderr``), and a ``scaling`` case its slopes file
-(``<case>-slopes.csv``).  A change that moves any printed digit fails here;
+(``<case>-slopes.csv``).  ``solve-n2-dump.coo`` pins the bytes of a
+``solve --dump-matrix`` file.  A change that moves any printed digit fails here;
 a deliberate change must regenerate the file and say why.
 """
 
@@ -55,3 +56,15 @@ def test_cli_stdout_matches_golden(name, tmp_path, capsys):
     if argv[0] == "scaling":
         (slopes,) = tmp_path.glob("*-slopes.csv")
         assert slopes.read_text() == (GOLDEN / f"{stem}-slopes.csv").read_text()
+
+
+def test_dump_matrix_matches_golden(tmp_path, capsys):
+    """``solve --dump-matrix`` writes the whole displaced-basis matrix at the
+    accepted truncation (n_tr = 3 here), every kernel entry, byte for byte."""
+    dump = tmp_path / "h.coo"
+    argv = ["solve", "--n-atoms", "2", "--lambda", "0.5", "--ntr-schedule", "2,3",
+            "--threshold", "0.1", "--dump-matrix", str(dump),
+            "--workers", "1", "--out-dir", str(tmp_path / "store")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert dump.read_bytes() == (GOLDEN / "solve-n2-dump.coo").read_bytes()

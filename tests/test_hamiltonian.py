@@ -115,8 +115,12 @@ class TestAssembly:
             assemble_dcs(p, 11, max_dim=100)
 
     def test_dump_coo_round_trip(self):
+        """The dump is the whole displaced-basis matrix, every kernel entry;
+        a bare-basis matrix is refused, not written wrong."""
         p = ModelParams(3, 1.0, 1.0, 0.6)
-        h = assemble_dfs(p, 4)
+        with pytest.raises(ValueError, match="displaced basis"):
+            dump_coo(assemble_dfs(p, 4), io.StringIO())
+        h = assemble_dcs(p, 4)
         buf = io.StringIO()
         n_lines = dump_coo(h, buf)
         M = np.zeros((h.dim, h.dim))

@@ -155,6 +155,23 @@ class TestPhysicalSeries:
         expected = ser.values[0] + 0.01
         assert supplied.values[0] == pytest.approx(expected, abs=1e-9)
 
+    def test_critical_gap_exponent(self):
+        """The parity gap E_odd - E_even at lambda_c, D = 1, closes as N^(-1/3)
+        (Vidal & Dusuel, EPL 74, 817 (2006)): an oracle independent of the
+        three fitted observables, from the two sector solves of each point.
+        The fit's own uncertainty (about 6e-6) does not cover its offset from
+        -1/3 (about 9e-4), so the window is fixed."""
+        lam = critical_coupling(1.0, 1.0)
+        gaps = []
+        for n in GRID:
+            res = converge(ModelParams(n, 1.0, 1.0, lam), sector="full", threshold=1e-10)
+            even, odd = res.ground.sectors
+            assert (even.sector, odd.sector) == ("even", "odd")
+            gaps.append(odd.energy - even.energy)
+        assert gaps[-1] > 0 and all(b < a for a, b in zip(gaps, gaps[1:]))
+        fit = extrapolate_exponent(ScalingSeries(1.0, lam, GRID, tuple(gaps), "gap"))
+        assert fit.exponent == pytest.approx(-1 / 3, abs=0.002)
+
     def test_fit_window_robustness(self):
         """Dropping the smallest size from an asymptotic-window fit moves the
         exponent by < 0.03."""
