@@ -22,6 +22,16 @@ by Weyl's inequality no eigenvalue moves further, so it joins the slack and
 every shift test still speaks of H.  H commutes with parity (Emary & Brandes,
 PRE 67, 066203 (2003)), so an unprojected matrix is solved as its two sectors.
 
+With no warm start, a sector solve begins at its mean-field state: the lowest
+state of the displaced n_tr = 0 problem of the same sector, whose band has
+two rows, so LAPACK ``dstebz``/``dstein`` solve it as a tridiagonal matrix
+in O(N).  It gives one amplitude per spin sector, on the k = 0 state of the
+displaced basis, or on the coherent state <k|D(-g_n)|0> of the bare basis.
+A perturbation of 1e-3/sqrt(dim) per entry from a splitmix64 stream of the
+seed keeps inverse iteration off an excited eigenvector (at lambda = 0 the
+k = 0 state of the odd sector is one).  The start proves nothing; the shift
+tests certify every returned pair as before.
+
 The factorization and the solves are LAPACK ``dpbtrf``/``dpbtrs`` through
 scipy's own f2py extension, the one ``scipy.linalg.cholesky_banded`` and
 ``cho_solve_banded`` call, loaded by file so that a solve never imports the
@@ -30,17 +40,18 @@ costs several times the whole solve of a cold N = 1024 run.  This is the one
 solver path; dense diagonalization lives only in the test oracles.
 """
 
+import math
 import sys
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import find_spec, module_from_spec, spec_from_file_location
 from pathlib import Path
 
 import numpy as np
-from numpy.random import default_rng  # at import: a solve imports nothing
 
 from .errors import ConfigError, ConvergenceError
-from .hamiltonian import BlockHamiltonian, gershgorin, project_parity
+from .hamiltonian import BlockHamiltonian, assemble_dcs, gershgorin, project_parity
 
 __all__ = ["GroundState", "ground_state"]
 
@@ -69,6 +80,11 @@ def _load_flapack():
 
 _flapack = _load_flapack()
 _dpbtrf, _dpbtrs = _flapack.dpbtrf, _flapack.dpbtrs
+_dstebz, _dstein = _flapack.dstebz, _flapack.dstein
+
+# splitmix64 (Steele, Lea & Flood, OOPSLA 2014): the golden-ratio increment
+# and the two multipliers of its finalizer
+_SPLITMIX = (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
 
 
 @dataclass
@@ -162,12 +178,78 @@ def _rayleigh(h, x: np.ndarray) -> tuple[float, float]:
     return theta, float(np.linalg.norm(hx - theta * x))
 
 
+@lru_cache(maxsize=2)
+def _mean_field(params, sector: str) -> np.ndarray:
+    """Lowest state of the displaced n_tr = 0 parity sector, one amplitude per
+    spin sector (read-only; the last two are kept, so the cells of one
+    coupling share them): its band has two rows, a tridiagonal matrix for
+    dstebz and dstein."""
+    h0 = project_parity(assemble_dcs(params, 0, max_dim=params.n_atoms + 1), sector)
+    ab = h0.band()
+    d, e = ab[0], ab[1, :max(h0.dim - 1, 1)]  # f2py wants one e entry at dim 1
+    # range 2: by index, the lowest only (il = iu = 1); order "B", as dstein needs
+    m, w, iblock, isplit, info = _dstebz(d, e, 2, 0.0, 0.0, 1, 1, 0.0, "B")
+    if info == 0:
+        z, info = _dstein(d, e, w[:m], iblock, isplit)
+    if info:
+        raise ValueError(f"dstebz/dstein failed with info {info}")
+    c = h0.expand(z[:, 0])
+    c.setflags(write=False)
+    return c
+
+
+def _coherent(g: np.ndarray, size: int) -> np.ndarray:
+    """<k|D(-g)|0> = exp(-g^2/2) (-g)^k / sqrt(k!) for k < size, one row per
+    displacement, from logarithms: exactly [1, 0, ...] at g = 0, and an
+    underflow to 0 rather than an overflow at large g and k."""
+    k = np.arange(size)
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(k[1:]))))
+    log_g = np.log(np.where(g == 0.0, 1.0, np.abs(g)))[:, np.newaxis]
+    out = np.exp(k * log_g - 0.5 * (g * g)[:, np.newaxis] - 0.5 * log_fact)
+    out[:, 1::2] *= -np.sign(g)[:, np.newaxis]
+    out[g == 0.0, 1:] = 0.0
+    return out
+
+
+def _noise(seed: int, size: int) -> np.ndarray:
+    """``size`` numbers in [-1, 1): a splitmix64 stream (uint64 arrays wrap
+    silently) from a state that hashes every 64-bit word of ``seed``."""
+    step, mul1, mul2 = _SPLITMIX
+
+    def mix(z):
+        for shift, mul in ((30, mul1), (27, mul2)):
+            z ^= z >> shift
+            z *= mul
+        z ^= z >> 31
+        return z
+
+    state = np.zeros(1, dtype=np.uint64)
+    for shift in range(0, max(seed.bit_length(), 1), 64):
+        state = mix((state ^ (seed >> shift) % 2**64) + step)
+    z = mix(np.arange(1, size + 1, dtype=np.uint64) * step + state)
+    return (z >> 11).view(np.int64) * 2.0 ** -52 - 1.0
+
+
+def _cold_start(h, seed: int) -> np.ndarray:
+    """The sector's mean-field state on its own basis, plus a seeded
+    perturbation of 1e-3/sqrt(dim) per entry.
+
+    The displaced n_tr = 0 state puts c_n on each spin sector's k = 0 state;
+    in the bare basis that is the coherent state c_n <k|D(-g_n)|0>.  The
+    perturbation keeps inverse iteration off an excited state that the
+    mean-field state happens to be (as at lambda = 0)."""
+    p = h.params
+    g = p.big_g * p.sector_values() if h.basis == "dfs" else np.zeros(p.n_atoms + 1)
+    table = _mean_field(p, h.sector)[:, np.newaxis] * _coherent(g, h.n_tr + 1)
+    return h.restrict(table.reshape(-1)) + 1e-3 / math.sqrt(h.dim) * _noise(seed, h.dim)
+
+
 def _certified_lowest(h, tol: float, seed: int, v0: np.ndarray | None):
     """Returns (x, theta, residual, lower_bound, steps, test); ``test`` holds
     the factorization count and the bandwidth."""
     test = ShiftTest(h)
     if v0 is None or not np.any(v0):
-        v0 = default_rng(seed).standard_normal(h.dim)
+        v0 = _cold_start(h, seed)
     x = np.array(v0, dtype=float) / np.linalg.norm(v0)
     theta, r = _rayleigh(h, x)
     # proven: lo <= E0 (strictly below the Gershgorin bound) and E0 <= hi
@@ -222,13 +304,17 @@ def ground_state(h, tol: float = 1e-10, seed: int = 0,
     Certified: the energy is a Rayleigh quotient and ``lower_bound``, at most
     r + tol*max(1, |E|) (plus rounding slack) below it, is proven to lie
     below the spectrum.  Raises ConvergenceError (residual attached) rather
-    than return an uncertified pair.  ``seed`` draws the start vector unless
-    ``v0``, one or a list of full flat vectors, gives one: a sector starts
-    from the sum of their restrictions (so from its own state, given one state
-    per sector), or from the seed if none reaches it.
+    than return an uncertified pair.  A sector starts from the sum of the
+    restrictions of ``v0``, one or a list of full flat vectors (so from its
+    own state, given one state per sector), or from its mean-field state if
+    none reaches it; the seed, any non-negative int, picks that start's
+    perturbation.
     """
     if not 0.0 < tol < np.inf:
         raise ConfigError(f"tol must be positive and finite, got {tol!r}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed!r}")
+    seed = int(seed)
     if not isinstance(h, BlockHamiltonian):
         return _sector_ground_state(h, tol, seed, v0)
     even, odd = (_sector_ground_state(project_parity(h, sector), tol, seed, v0)

@@ -112,6 +112,17 @@ class TestSolve:
         assert rows["full"]["parity"] == "full"
         assert float(rows["full"]["residual"]) < 1e-10
 
+    def test_any_seed_prints_the_same_energy(self, tmp_path, capsys):
+        """The seed picks only the start's perturbation: 2**70 is accepted
+        and prints the E0 of seed 0."""
+        rows = []
+        for seed in ("0", str(2**70)):
+            code, out, _ = run(capsys, "solve", "--n-atoms", "32", "--lambda", "1",
+                               "--seed", seed, "--workers", "1", "--out-dir", str(tmp_path))
+            assert code == 0
+            rows.append(read_rows(out)[0])
+        assert rows[0]["E0"] == rows[1]["E0"]
+
     def test_cache_hit_identical_output(self, tmp_path, capsys):
         argv = ("solve", "--n-atoms", "8", "--lambda", "0.4",
                 "--out-dir", str(tmp_path))

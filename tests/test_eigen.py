@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,14 @@ from dicke_ed.hamiltonian import (
 )
 from dicke_ed.model import ModelParams, critical_coupling
 
-from oracles import dense, loop_band, lowest_pair, norm_estimate, parity_operator
+from oracles import (
+    dense,
+    loop_band,
+    lowest_pair,
+    norm_estimate,
+    parity_operator,
+    to_bare_table,
+)
 
 LAMBDAS = (0.0, 0.3, 0.5, 1.0, 2.0)
 SECTORS = ("even", "odd", "full")
@@ -198,6 +206,76 @@ class TestGroundState:
             ground_state(op, tol=0.0)
         with pytest.raises(ValueError, match="finite"):
             ground_state(op, tol=np.inf)
+
+
+LAM_C = critical_coupling(1.0, 1.0)
+
+
+class TestColdStart:
+    """With no warm start a sector solve begins at its mean-field state, the
+    lowest state of the displaced n_tr = 0 sector, put on its own basis."""
+
+    @pytest.mark.parametrize("n_atoms", [*range(1, 10), 31, 32])
+    def test_mean_field_is_the_dense_lowest_state(self, n_atoms):
+        for lam, sector in itertools.product((0.0, 0.3, LAM_C, 2 * LAM_C), ("even", "odd")):
+            p = ModelParams(n_atoms, 1.0, 1.0, lam)
+            h0 = project_parity(assemble_dcs(p, 0), sector)
+            oracle = h0.expand(eigh(dense(h0), subset_by_index=(0, 0))[1][:, 0])
+            c = eigen._mean_field(p, sector)
+            assert min(np.max(np.abs(c - oracle)), np.max(np.abs(c + oracle))) < 1e-12
+
+    @pytest.mark.parametrize("cutoff", [19, 99])
+    @pytest.mark.parametrize("lam", [0.0, 0.3, LAM_C, 1.6, 8.0])
+    def test_bare_table_is_the_displaced_state(self, cutoff, lam):
+        """The coherent amplitudes equal the bare-basis table of the n_tr = 0
+        state built from ``displaced_overlap``: exactly [1, 0, ...] at g = 0,
+        and at lambda = 8 (g up to 45) the top sectors underflow to 0, no NaN."""
+        p = ModelParams(32, 1.0, 1.0, lam)
+        c = np.array(eigen._mean_field(p, "even"))
+        g = p.big_g * p.sector_values()
+        table = c[:, np.newaxis] * eigen._coherent(g, cutoff + 1)
+        oracle = to_bare_table(SimpleNamespace(basis="dcs", table=c[:, np.newaxis], n_tr=0),
+                               p, cutoff)
+        assert np.all(np.isfinite(table))
+        np.testing.assert_allclose(table, oracle, rtol=0.0, atol=1e-12)
+        at_rest = np.zeros((3, cutoff + 1))
+        at_rest[:, 0] = 1.0
+        assert np.array_equal(eigen._coherent(np.zeros(3), cutoff + 1), at_rest)
+
+    @pytest.mark.parametrize("basis,n_tr", [("dcs", 6), ("dfs", 30)])
+    def test_start_is_the_restricted_table_plus_a_small_perturbation(self, basis, n_tr):
+        h = sector_matrix(16, 0.7, basis, n_tr, "odd")
+        p = h.params
+        g = p.big_g * p.sector_values() if basis == "dfs" else np.zeros(17)
+        table = eigen._mean_field(p, "odd")[:, np.newaxis] * eigen._coherent(g, n_tr + 1)
+        x = eigen._cold_start(h, 7)
+        kick = x - h.restrict(table.reshape(-1))
+        assert 0.0 < np.max(np.abs(kick)) <= 1e-3 / np.sqrt(h.dim)
+        assert np.array_equal(x, eigen._cold_start(h, 7))
+        assert not np.array_equal(x, eigen._cold_start(h, 8))
+
+    @pytest.mark.parametrize("n_atoms,lam,basis,n_tr,bound", [
+        # the parent's random start took 12, 11 and 10 factorizations
+        (1024, LAM_C, "dcs", 4, 6),
+        (32, 1.6, "dfs", 100, 6),
+        (32, 1.0, "dfs", 45, 6),
+    ])
+    def test_cold_factorizations(self, n_atoms, lam, basis, n_tr, bound):
+        h = sector_matrix(n_atoms, lam, basis, n_tr, "even")
+        gs = ground_state(h)
+        assert gs.factorizations <= bound
+        assert gs.lower_bound <= gs.energy
+        assert gs.residual <= 1e-10 * max(1.0, abs(gs.energy))
+
+    def test_huge_seed(self):
+        """Every non-negative int seeds the perturbation, 2**70 included; a
+        negative seed is refused."""
+        h = sector_matrix(8, 0.5, "dcs", 6, "even")
+        huge = ground_state(h, seed=2**70)
+        assert huge.energy == pytest.approx(ground_state(h, seed=0).energy, abs=1e-10)
+        assert not np.array_equal(eigen._noise(2**70, 8), eigen._noise(0, 8))
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            ground_state(h, seed=-1)
 
 
 class TestCertificate:
