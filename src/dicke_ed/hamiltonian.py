@@ -16,13 +16,13 @@ Only a parity sector hands over LAPACK lower band storage (``band()``), and
 the solver factors nothing else; matvec serves the residuals.  ``band(out)``
 rewrites a given band from set-up cached on the operator, so the solver
 keeps one band per solve.  Each basis writes a sector's upper sectors with
-its own writer: the displaced basis in one pass over its sector columns, the
-bare basis (in either sector order) as one scatter of its entries.  A parity
-sector's head, the centre states of even N or the fold of odd N, is written
-once for both bases, through the parity map.  A displaced-basis sector's
-band keeps only the kernel off-diagonals above a drop level
-(``assemble_dcs``); matvec and ``dump_coo`` (the whole displaced-basis
-matrix) keep every entry.
+its own writer: the displaced basis as couplings times one kernel pattern
+over its sector columns, the bare basis (in either sector order) as one
+scatter of its entries.  A parity sector's head, the centre states of even N
+or the fold of odd N, is written once for both bases, through the parity
+map.  A displaced-basis sector's band keeps only the kernel off-diagonals
+above a drop level (``assemble_dcs``); matvec and ``dump_coo`` (the whole
+displaced-basis matrix) keep every entry.
 
 A parity sector has two coordinate orders, and its one parity map picks one.
 Sector-major (the centre states, then each kept sector's K = n_tr + 1 boson
@@ -66,6 +66,9 @@ __all__ = [
 DEFAULT_DIM_CAP = 400_000
 # the displaced-basis band drops a kernel tail whose norm bound is <= this * max(|diag|, 1)
 _DROP_LEVEL = np.finfo(float).eps
+# entries in a displaced-basis band's pattern tile: numpy's default ufunc buffer size,
+# so a product over rows this long runs without buffering its broadcast operand
+_TILE = 8192
 
 
 def _bare_entries(h: "ProjectedHamiltonian") -> tuple[np.ndarray, np.ndarray]:
@@ -143,17 +146,24 @@ class BlockHamiltonian:
         the bare basis's identity."""
         return self.k_dim + self.kernel_width
 
-    @cached_property
-    def _pattern(self) -> np.ndarray:
+    def _pattern(self, rows: int) -> np.ndarray:
         """Band column b of a displaced-basis sector coupled with weight 1 to
-        the next: row K + a - b holds the kernel entry (b, a).  The other rows
-        hold -0.0, which the negative couplings scale to the +0.0 of a zeroed
-        band.  All 2K rows: ``dump_coo`` reads every one."""
+        the next, its first ``rows`` rows (at most 2K) flattened b-major: row
+        K + a - b holds the kernel entry (b, a).  The other rows hold -0.0,
+        which the negative couplings scale to the +0.0 of a zeroed band."""
         K = self.k_dim
         pattern = np.full((K, 2 * K), -0.0)
         b = np.arange(K)[:, np.newaxis]
         pattern[b, K - b + np.arange(K)] = self.kernel_up
-        return pattern
+        return pattern[:, :rows].ravel()
+
+    @cached_property
+    def _tile(self) -> np.ndarray:
+        """``_pattern`` of a parity band (``bandwidth + 1`` rows), repeated
+        over as many sectors as fill ``_TILE`` entries: at least one, and at
+        most the s_dim // 2 upper sectors a parity band holds."""
+        pattern = self._pattern(self.bandwidth + 1)
+        return np.tile(pattern, max(1, min(self.s_dim // 2, _TILE // pattern.size)))
 
 
 def _check_dim(params: ModelParams, n_tr: int, max_dim: int | None):
@@ -167,21 +177,35 @@ def _check_dim(params: ModelParams, n_tr: int, max_dim: int | None):
         )
 
 
-def _fill_sectors(h: BlockHamiltonian, ab: np.ndarray, first: int, offset: int):
+def _fill_sectors(h: BlockHamiltonian, ab: np.ndarray, first: int, offset: int,
+                  tile: np.ndarray):
     """Write displaced-basis sectors first, first + 1, ... of ``h`` into every
     row of the lower band ``ab``'s columns from ``offset`` on, the block of
     sector ``first`` starting at row and column ``offset``.
 
-    Column (t, b) is spin_coup[first + t] * ``_pattern``[b] (zero past the
-    last sector), with the diagonal on row 0: one pass over the columns, no
-    loop."""
+    Column (t, b) is spin_coup[first + t] times column b of ``_pattern``
+    (zero past the last sector), with the diagonal on row 0.  ``tile`` is
+    that pattern for ``ab``'s rows, repeated over q sectors.  With q = 1 each
+    entry is one broadcast product.  Otherwise the sectors are short, and
+    numpy would buffer a product of two broadcast operands one sector at a
+    time: the couplings are copied in and multiplied by whole tiles, still
+    one product per entry."""
     K, rows = h.k_dim, ab.shape[0]
-    blocks = ab.T[offset:].reshape(-1, K, rows)  # a view: blocks[t, b] is column (t, b)
-    m = len(blocks)
+    cols = ab.T[offset:].reshape(-1, K * rows)  # a view: row t holds sector first + t's columns
+    m = len(cols)
     coup = h.spin_coup[first: first + m]
-    np.multiply(coup[:, np.newaxis, np.newaxis], h._pattern[:, :rows], out=blocks[: len(coup)])
-    blocks[len(coup):] = 0.0
-    blocks[:, :, 0] = h.diag[first: first + m]
+    body = cols[: len(coup)]
+    q = tile.size // (K * rows)
+    if q == 1:
+        np.multiply(coup[:, np.newaxis], tile, out=body)
+    else:
+        body[:] = coup[:, np.newaxis]
+        whole = len(body) // q * q
+        tiled, rest = body[:whole].reshape(-1, tile.size), body[whole:].reshape(-1)
+        np.multiply(tiled, tile, out=tiled)
+        np.multiply(rest, tile[: rest.size], out=rest)
+    cols[len(coup):] = 0.0
+    cols.reshape(m, K, rows)[:, :, 0] = h.diag[first: first + m]
 
 
 def gershgorin(ab: np.ndarray) -> tuple[float, float]:
@@ -342,7 +366,7 @@ class ProjectedHamiltonian:
         else:
             nc = self.dim - (self.full.s_dim - self._layer) * self.full.k_dim
             ab[:, :nc] = 0.0
-            _fill_sectors(self.full, ab, first=self._layer, offset=nc)
+            _fill_sectors(self.full, ab, first=self._layer, offset=nc, tile=self.full._tile)
         at, values = self._head
         # centre entries go into zeroed columns (keeping -0.0); the fold adds
         flat[at] = values if self.full.s_dim % 2 else flat[at] + values
@@ -396,7 +420,7 @@ def dump_coo(h: BlockHamiltonian, fileobj) -> int:
     if h.basis != "dcs":
         raise ValueError(f"dump_coo writes only the displaced basis ('dcs'), got {h.basis!r}")
     ab = np.empty((2 * h.k_dim, h.dim), order="F")
-    _fill_sectors(h, ab, first=0, offset=0)
+    _fill_sectors(h, ab, first=0, offset=0, tile=h._pattern(2 * h.k_dim))
     count = 0
     for d in range(ab.shape[0]):
         for c in np.nonzero(ab[d])[0]:

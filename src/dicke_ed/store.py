@@ -21,11 +21,12 @@ run is skipped (a cache miss) and the next entry starts on a fresh line.
 """
 
 import functools
-import hashlib
 import json
 import os
 from datetime import datetime, timezone
 from pathlib import Path
+
+from _blake2 import blake2b  # hashlib's own BLAKE2b; importing hashlib loads OpenSSL
 
 from . import __version__
 
@@ -38,7 +39,7 @@ ENV_ROOT = "DICKE_ED_RESULTS"
 def config_digest(config: dict) -> str:
     """Stable 16-hex digest of a JSON-serializable configuration."""
     canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()[:16]
+    return blake2b(canon.encode(), digest_size=8).hexdigest()
 
 
 @functools.cache
@@ -50,12 +51,12 @@ def describe_version() -> str:
     process.
     """
     here = os.path.dirname(__file__)
-    digest = hashlib.sha256()
+    digest = blake2b(digest_size=6)
     for name in sorted(os.listdir(here)):
         if name.endswith(".py"):
             with open(os.path.join(here, name), "rb") as fh:
                 digest.update(name.encode() + b"\0" + fh.read())
-    return f"{__version__}+src.{digest.hexdigest()[:12]}"
+    return f"{__version__}+src.{digest.hexdigest()}"
 
 
 def _write_atomic(path: Path, text: str) -> None:

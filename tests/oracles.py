@@ -524,6 +524,18 @@ def meanfield_critical_coupling(omega, delta, n_atoms=64, tol=1e-4) -> float:
     return 0.5 * (lo + hi)
 
 
+def holstein_primakoff_normal(omega, delta, lam) -> float:
+    """Large-N limit of E0 + N*delta/2 below the critical coupling: the
+    zero-point shift of the two Holstein-Primakoff polariton modes,
+    (eps_+ + eps_- - omega - delta)/2, with
+    eps_+-^2 = [omega^2 + delta^2 +- sqrt((delta^2 - omega^2)^2 + 16 lam^2 omega delta)]/2
+    (Emary & Brandes, PRE 67, 066203 (2003))."""
+    root = math.sqrt((delta**2 - omega**2) ** 2 + 16.0 * lam**2 * omega * delta)
+    eps_plus = math.sqrt(0.5 * (omega**2 + delta**2 + root))
+    eps_minus = math.sqrt(0.5 * (omega**2 + delta**2 - root))
+    return 0.5 * (eps_plus + eps_minus - omega - delta)
+
+
 @dataclass(frozen=True)
 class SectorIndex:
     """Position in the working basis: J_z eigenvalue n and boson occupation k.

@@ -750,7 +750,8 @@ class TestArgparseBehavior:
 FOOTPRINT = """
 import json, sys
 import dicke_ed.cli
-loaded = [m for m in ("scipy.linalg", "scipy._lib", "multiprocessing") if m in sys.modules]
+loaded = [m for m in ("scipy.linalg", "scipy._lib", "multiprocessing", "_hashlib", "ssl")
+          if m in sys.modules]
 before = set(sys.modules)
 code = dicke_ed.cli.main(["solve", "--n-atoms", "64", "--workers", "1", "--out-dir", sys.argv[1]])
 added = sorted(set(sys.modules) - before)
@@ -759,8 +760,8 @@ sys.stderr.write(json.dumps({"code": code, "loaded": loaded, "added": added}) + 
 
 
 class TestImportFootprint:
-    """The CLI loads neither the scipy.linalg package nor the process pool,
-    and a cold solve imports nothing after it: both are set-up cost."""
+    """The CLI loads neither the scipy.linalg package, the process pool nor
+    OpenSSL, and a cold solve imports nothing after it: all are set-up cost."""
 
     def test_import_and_cold_solve(self, tmp_path):
         src = str(Path(cli.__file__).resolve().parents[1])

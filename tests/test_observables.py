@@ -21,6 +21,7 @@ from dicke_ed.observables import (
 from oracles import (
     berry_phase,
     concurrence,
+    holstein_primakoff_normal,
     magnetization_x,
     oracle_moments,
     to_bare_table,
@@ -161,6 +162,25 @@ class TestStructureNearCriticality:
         assert peaks[0] >= peaks[1] >= peaks[2]
         assert peaks[2] <= 0.1 + 1e-9
         assert curvatures[0] > curvatures[1] > curvatures[2]  # more negative
+
+
+class TestHolsteinPrimakoffLimit:
+    @pytest.mark.parametrize("omega, delta, ratio", [(1.0, 1.0, 0.6), (1.0, 2.0, 0.6),
+                                                     (0.5, 1.5, 0.3)])
+    def test_normal_phase_approach_is_one_over_n(self, omega, delta, ratio):
+        """Below lambda_c, E0 + N*delta/2 reaches the Holstein-Primakoff
+        energy as c/N: N times the difference is small and flat in N.  It
+        reads 0.00749-0.00750, 0.00751-0.00752 and 0.000134 for the three
+        cases; a constant offset eps in E0 would move it by 3840*eps between
+        N = 256 and 4096."""
+        lam = ratio * critical_coupling(omega, delta)
+        limit = holstein_primakoff_normal(omega, delta, lam)
+        scaled = np.array([
+            n * (converge(ModelParams(n, omega, delta, lam), threshold=1e-11,
+                          solver_tol=1e-13).ground.energy + n * delta / 2 - limit)
+            for n in (256, 1024, 4096)])
+        assert np.all((scaled > 0.0) & (scaled < 0.01))
+        assert np.ptp(scaled) <= 2e-3 * scaled.max()
 
 
 class TestConvergeDriver:

@@ -53,6 +53,14 @@ def test_no_numpy_random_import(module):
     assert not [name for name in _imported(module) if name.split(".")[:2] == ["numpy", "random"]]
 
 
+@pytest.mark.parametrize("module", MODULES)
+def test_no_hashlib_import(module):
+    """The store's digests come from the builtin BLAKE2b: no module imports
+    hashlib, which loads OpenSSL, or OpenSSL's own modules."""
+    assert not [name for name in _imported(module)
+                if name.split(".")[0] in ("hashlib", "_hashlib", "ssl")]
+
+
 RANDOM_FREE = """
 import json, sys
 from dicke_ed import cli

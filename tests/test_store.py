@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -35,6 +37,33 @@ def test_records_start_no_subprocess(tmp_path, popen_calls):
     assert first["version"] == second["version"]
     assert first["version"].startswith(__version__ + "+src.")
     assert len(rs.entries()) == 2
+
+
+@pytest.mark.parametrize("config", [
+    {},
+    {"command": "solve", "n_atoms": 1024, "omega": 1.0, "delta": 1.0, "lambda": 0.5},
+    {"b": [1, 2.5, None, True], "a": {"nested": "\u00e9", "z": -0.0}},
+])
+def test_config_digest_is_blake2b_of_canonical_json(config):
+    """16 hex: BLAKE2b with an 8-byte digest of the sorted, compact JSON."""
+    canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    assert store.config_digest(config) == hashlib.blake2b(canon.encode(), digest_size=8).hexdigest()
+
+
+def test_describe_version_digests_the_sources():
+    """The version, then 12 hex: BLAKE2b with a 6-byte digest of each module's
+    name, a NUL and its bytes, in name order.  The hash is hashlib's own
+    builtin BLAKE2b, imported without hashlib."""
+    store.describe_version.cache_clear()
+    here = Path(store.__file__).parent
+    digest = hashlib.blake2b(digest_size=6)
+    for name in sorted(os.listdir(here)):
+        if name.endswith(".py"):
+            digest.update(name.encode() + b"\0" + (here / name).read_bytes())
+    version = store.describe_version()
+    assert re.fullmatch(re.escape(__version__) + r"\+src\.[0-9a-f]{12}", version)
+    assert version == f"{__version__}+src.{digest.hexdigest()}"
+    assert store.blake2b is hashlib.blake2b
 
 
 def test_cold_solve_starts_no_subprocess(tmp_path, capsys, popen_calls):
