@@ -34,9 +34,9 @@ MIN_SERIES_POINTS = 4  # sizes an exponent fit needs
 # observable -> (tracked key, default per-point convergence threshold)
 SERIES = {"energy": ("e0", 1e-8), "berry": ("b_n", 1e-6), "concurrence": ("c_n", 1e-6)}
 
-# The stock truncation schedule topped up for the slowest corner of the
-# scaling sweeps (small N deep in the adiabatic regime, e.g. D = 10 at
-# N = 16, needs n_tr ~ 128 to push the energy tail below 1e-8).
+# The stock truncation schedule topped up for the adiabatic regime: at
+# D = 10 every N from 16 to 1024 first meets the 1e-8 energy threshold at
+# n_tr = 128 (D = 1 accepts 12..16, D = 0.1 accepts 6).
 SCALING_SCHEDULE = DEFAULT_SCHEDULE + (128, 160, 192)
 
 
@@ -195,26 +195,32 @@ def observable_sweep(
     The coupling defaults to the critical one for (omega, delta); delta is
     passed to the solver as given.  The remaining keyword arguments (``seed``,
     ``solver_tol``, ``max_dim``, ...) go to :func:`converge` unchanged.
-    Points are independent jobs; results are returned in the order of
-    ``n_list`` regardless of completion order.  Solver failures propagate
-    with the offending N attached.
+    Points are independent jobs, run largest N first (a stable sort, so
+    repeated sizes keep their order): serially, the largest band is then
+    allocated before any other point has run, so the sweep's peak memory is
+    that point's own; in a pool the longest job starts first.  Rows come
+    back in the order of ``n_list``.  A solver failure propagates with the
+    offending N attached; with several failing points it names the largest.
     """
     if lam is None:
         lam = critical_coupling(omega, delta)
-    return run_jobs(_sweep_point, [int(n) for n in n_list], workers, omega=omega,
+    sizes = [int(n) for n in n_list]
+    order = sorted(range(len(sizes)), key=lambda i: -sizes[i])
+    rows = run_jobs(_sweep_point, [sizes[i] for i in order], workers, omega=omega,
                     delta=delta, lam=lam, threshold=threshold, track=track,
                     schedule=schedule, **settings)
+    return [row for _, row in sorted(zip(order, rows), key=lambda pair: pair[0])]
 
 
 def run_jobs(fn, items: list, workers: int, **shared) -> list:
     """``[fn(item, **shared) for item in items]``, in a process pool when
     ``workers`` > 1 and there is more than one item; only then is the pool
-    machinery imported."""
+    machinery imported.  The pool has at most one process per item."""
     call = functools.partial(fn, **shared)
     if workers > 1 and len(items) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
             return list(pool.map(call, items))
     return [call(item) for item in items]
 

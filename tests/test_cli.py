@@ -424,8 +424,8 @@ def test_digest_follows_the_settings(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv,dim", [
-    (("scaling", "--observable", "energy", "--D", "1", "--N", "16..128"), "85 = (16+1)*(4+1)"),
-    (("converge", "--at-critical", "--N", "16,32"), "85 = (16+1)*(4+1)"),
+    (("scaling", "--observable", "energy", "--D", "1", "--N", "16..128"), "645 = (128+1)*(4+1)"),
+    (("converge", "--at-critical", "--N", "16,32"), "165 = (32+1)*(4+1)"),
     (("converge", "--n-atoms", "32", "--lambdas", "0.5"), "165 = (32+1)*(4+1)"),
 ])
 @pytest.mark.parametrize("workers", ["1", "2"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dicke_ed import observables
+from dicke_ed import observables, scaling
 from dicke_ed.errors import ConvergenceError, FitError
 from dicke_ed.model import ModelParams, critical_coupling
 from dicke_ed.observables import converge
@@ -12,6 +12,7 @@ from dicke_ed.scaling import (
     extrapolate_exponent,
     fit_concurrence_limit,
     observable_sweep,
+    run_jobs,
 )
 
 GRID = tuple(2**p for p in range(4, 11))
@@ -184,14 +185,27 @@ class TestPhysicalSeries:
 
     def test_sweep_passes_delta_through(self):
         """The at-critical sweep solves at delta as given, bit for bit: a
-        D = delta/omega round trip would move E0 (0.7/0.3*0.3 != 0.7)."""
-        omega, delta, n_list = 0.3, 0.7, (16, 32, 64)
+        D = delta/omega round trip would move E0 (0.7/0.3*0.3 != 0.7).  An
+        unsorted size list gives the same rows, in its own order."""
+        omega, delta = 0.3, 0.7
         lam = critical_coupling(omega, delta)
-        rows = observable_sweep(delta, n_list, lam=lam, omega=omega, threshold=1e-6)
-        for n, row in zip(n_list, rows):
-            ref = converge(ModelParams(n, omega, delta, lam), threshold=1e-6,
-                           schedule=SCALING_SCHEDULE, track=("e0",))
-            assert row == {"e0": ref.ground.energy, "n_tr_used": ref.n_tr_used}
+        refs = {n: converge(ModelParams(n, omega, delta, lam), threshold=1e-6,
+                            schedule=SCALING_SCHEDULE, track=("e0",)) for n in (16, 32, 64)}
+        for n_list in ((16, 32, 64), (32, 16, 64)):
+            rows = observable_sweep(delta, n_list, lam=lam, omega=omega, threshold=1e-6)
+            assert rows == [{"e0": refs[n].ground.energy, "n_tr_used": refs[n].n_tr_used}
+                            for n in n_list]
+
+    def test_sweep_runs_largest_first(self, monkeypatch):
+        """A serial sweep solves its points in descending N (repeated sizes
+        keep their order) and returns the rows in the order of ``n_list``."""
+        calls, point = [], scaling._sweep_point
+        monkeypatch.setattr(scaling, "_sweep_point",
+                            lambda n, **kw: calls.append(n) or {**point(n, **kw), "n": n})
+        rows = observable_sweep(1.0, (8, 4, 16, 4), threshold=1e-6)
+        assert calls == [16, 8, 4, 4]
+        assert [row["n"] for row in rows] == [8, 4, 16, 4]
+        assert rows[1] == rows[3]
 
     def test_sweep_computes_spin_moments_once_per_step(self, monkeypatch):
         """A berry sweep evaluates the spin moments once per truncation step:
@@ -217,13 +231,64 @@ class TestPhysicalSeries:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failed_point_names_its_size(self, workers):
-        with pytest.raises(ConvergenceError, match=r"sweep point N=16 failed") as info:
+        """With every point failing, serial and pooled sweeps alike name the
+        largest size, the first one run."""
+        with pytest.raises(ConvergenceError, match=r"sweep point N=32 failed") as info:
             observable_sweep(1.0, (16, 32), threshold=1e-30, schedule=(4, 6),
                              workers=workers)
         assert info.value.history
 
+    def test_failed_largest_point_stops_a_serial_sweep(self, monkeypatch):
+        """A serial sweep whose largest point fails solves nothing else."""
+        calls, point = [], scaling._sweep_point
+        monkeypatch.setattr(scaling, "_sweep_point",
+                            lambda n, **kw: calls.append(n) or point(n, **kw))
+        with pytest.raises(ConvergenceError, match=r"sweep point N=64 failed"):
+            observable_sweep(1.0, (16, 64, 32), threshold=1e-30, schedule=(4, 6))
+        assert calls == [64]
+
     def test_parallel_sweep_matches_serial(self):
-        serial = observable_sweep(1.0, (16, 32, 64), threshold=1e-8)
-        parallel = observable_sweep(1.0, (16, 32, 64), threshold=1e-8, workers=2)
+        serial = observable_sweep(1.0, (32, 16, 64), threshold=1e-8)
+        parallel = observable_sweep(1.0, (32, 16, 64), threshold=1e-8, workers=2)
         for r1, r2 in zip(serial, parallel):
             assert r1["e0"] == pytest.approx(r2["e0"], abs=1e-8)
+            assert r1["n_tr_used"] == r2["n_tr_used"]
+
+
+class _RecordingPool:
+    """Stands in for ``concurrent.futures.ProcessPoolExecutor``: records its
+    ``max_workers`` and maps in this process, forking nothing."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestRunJobs:
+    @pytest.fixture(autouse=True)
+    def recording_pool(self, monkeypatch):
+        import concurrent.futures
+
+        _RecordingPool.made = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+
+    @pytest.mark.parametrize("workers,items,made", [
+        (64, [1, 2, 3, 4], [4]),
+        (2, [1, 2, 3, 4], [2]),
+        (4, [1, 2, 3, 4], [4]),
+        (64, [1], []),
+        (1, [1, 2, 3, 4], []),
+    ])
+    def test_pool_has_at_most_one_process_per_job(self, workers, items, made):
+        assert run_jobs(pow, items, workers, exp=2) == [i**2 for i in items]
+        assert _RecordingPool.made == made
